@@ -53,19 +53,14 @@ over Python ASTs:
     by construction.
 
 ``allocation-free-run-kernel``
-    The batched translation kernels (``translate_slice``,
-    ``translate_runs``, ``_oracle_slice``, ``_run_miss_fast``,
-    ``_victim_fast``, ``_fill_fast``, ``_settle_touch``) are the inner
-    loops the speedup headline stands on: no dataclass or event
+    The batched translation kernel (``translate_slice``) is the inner
+    loop the speedup headline stands on: no dataclass or event
     construction (``TLBEntry``/``AccessResult``/``WalkResult``/
     ``*Event``), no ``snapshot()`` calls, no comprehensions, and tuples
     only where they do not allocate per access (unpacking targets,
     return statements, index keys, and ``.get``/``.pop`` arguments).
-    The compile-tier pre-passes (``ReuseOracle.extend``,
-    ``_oracle_engage``, ``_rebuild_victim_queue``) are deliberately
-    outside the guarded set -- they run once per trace or per rebuild,
-    not per access -- and the numpy backend module is allow-listed
-    (vectorized array expressions allocate wholesale, not per event).
+    The miss it hands to the design's ``_handle_miss`` is outside the
+    guarded set: a miss walks the page table anyway.
 
 A finding can be waived on its own line with a trailing
 ``# invariant: allow <rule-name>`` comment.
@@ -468,19 +463,9 @@ class CertifiableHierarchy(Rule):
 
 
 #: The batched-kernel functions held to the allocation-free discipline.
-#: Matched by name wherever they are defined, so every design's override
-#: of ``_run_miss_fast`` (and any future one) is covered automatically.
-KERNEL_FUNCTIONS = frozenset(
-    {
-        "translate_slice",
-        "translate_runs",
-        "_oracle_slice",
-        "_run_miss_fast",
-        "_victim_fast",
-        "_fill_fast",
-        "_settle_touch",
-    }
-)
+#: Matched by name wherever they are defined, so any override is covered
+#: automatically.
+KERNEL_FUNCTIONS = frozenset({"translate_slice"})
 
 #: Constructors whose appearance inside a kernel function means a
 #: per-access heap allocation crept back into an inner loop.
@@ -493,14 +478,11 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 class AllocationFreeRunKernel(Rule):
     name = "allocation-free-run-kernel"
     description = (
-        "the batched translation kernels stay allocation-free: no"
+        "the batched translation kernel stays allocation-free: no"
         " dataclass/event construction, snapshot() calls or"
         " comprehensions, and tuples only in non-allocating positions"
         " (unpacking, return, index keys, .get/.pop arguments)"
     )
-    #: The numpy structural backend builds whole arrays at once -- its
-    #: allocations are per trace chunk, not per access.
-    allowed_files = ("repro/sim/kernel_np.py",)
 
     def check(self, tree: ast.Module, relpath: str) -> Iterator[LintFinding]:
         for node in ast.walk(tree):

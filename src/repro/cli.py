@@ -292,11 +292,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     from repro.runner import run_all
 
-    options = {}
-    if args.no_fastpath:
-        options["fig7_fastpath"] = False
-    if args.kernel != "run":
-        options["kernel"] = args.kernel
+    options = {"fig7_fastpath": False} if args.no_fastpath else None
     report = run_all(
         jobs=args.jobs,
         use_cache=not args.no_cache,
@@ -331,16 +327,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                 f" · {report.torn_journals} torn journals"
                 if report.torn_journals else ""
             )
-        )
-    kernel_total = report.kernel_run_hits + report.kernel_fallback_accesses
-    if kernel_total:
-        share = report.kernel_run_hits / kernel_total
-        print(
-            f"run kernel: {report.kernel_run_hits:,} run hits /"
-            f" {report.kernel_fallback_accesses:,} probed"
-            f" ({share:.0%} run share)"
-            f" · {report.kernel_runs:,} runs"
-            f" · backend {report.kernel_backend}"
         )
     if report.artifacts:
         print(f"artifacts: {', '.join(report.artifacts)}")
@@ -653,15 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_all.add_argument(
-        "--kernel", choices=("access", "run"), default="run",
-        help=(
-            "batched translation kernel for the fast path: 'run' retires"
-            " whole hit-runs against structural proofs, 'access' probes"
-            " per position (results are identical; a second differential"
-            " escape hatch, orthogonal to --no-fastpath)"
-        ),
-    )
-    run_all.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
     run_all.set_defaults(func=_cmd_run_all)
@@ -773,12 +750,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fast-path vs reference regression bench",
         description=(
             "Replay Figure 7 SPEC traces and the protected RSA trace"
-            " through the reference model and both repro.sim.kernel"
-            " kernels (per-position 'access' and run-granular 'run'),"
-            " verify the counters are identical, and report"
-            " accesses/second and speedups (headline floor: 8x geometric"
-            " mean for the run kernel).  Exit codes: 2 on counter"
-            " divergence, 1 when a full-size run misses the floor."
+            " through the reference model and the repro.sim.kernel fast"
+            " path, verify the counters are identical, and report"
+            " accesses/second and speedups (headline floor: 3x geometric"
+            " mean).  Exit codes: 2 on counter divergence, 1 when a"
+            " full-size run misses the floor."
         ),
     )
     bench.add_argument(

@@ -92,12 +92,6 @@ class PageTable:
         self._root = _Node()
         self._mapped = 0
         self._version = 0
-        #: Monotonic: has this table *ever* held a superpage leaf?  The
-        #: run kernel's reuse oracle (which assumes every walk returns a
-        #: 4 KiB leaf at full-walk cost) keys off this instead of a live
-        #: count, so leaf-replacement corner cases can never resurrect
-        #: the assumption once broken.
-        self.superpages_ever = False
 
     @property
     def version(self) -> int:
@@ -147,8 +141,6 @@ class PageTable:
         if leaf_index not in node.children:
             self._mapped += 1
         self._version += 1
-        if level:
-            self.superpages_ever = True
         entry = PageTableEntry(
             ppn=ppn,
             permissions=permissions,

@@ -50,10 +50,6 @@ class PageTableWalker:
         self._frame_allocator = frame_allocator or _SequentialFrames().allocate
         self.walks = 0
         self.faults = 0
-        #: Bumped whenever an address space is (re-)registered, so
-        #: :meth:`memo_token` can never alias a fresh table whose version
-        #: counter happens to match the old one's.
-        self._register_epoch = 0
         #: Walk memo: (asid, vpn) -> (table version walked under, result).
         #: A memo hit still counts as a walk and charges the same cycles
         #: (RISC-V has no page-walk cache, footnote 3 -- architecturally
@@ -66,37 +62,7 @@ class PageTableWalker:
     def register(self, table: PageTable) -> None:
         """Attach an address space (keyed by its ASID)."""
         self._tables[table.asid] = table
-        self._register_epoch += 1
         self.invalidate_memo(asid=table.asid)
-
-    def memo_token(self, asid: int) -> int:
-        """Walk-memoization validity token for one address space.
-
-        The run kernel (:meth:`repro.tlb.BaseTLB.translate_runs`) caches
-        packed walk results across quanta and revalidates them by
-        comparing this token: it changes whenever the ASID's mappings
-        change (page-table version) or the table object itself is
-        replaced (registration epoch), the only events that could make a
-        cached result differ from a fresh :meth:`walk`.  Auto-mapping
-        unseen pages bumps the version too -- that only costs a
-        conservative cache drop after warm-up quanta, never staleness.
-        Returns -1 while the ASID has no table (nothing may be cached).
-        """
-        table = self._tables.get(asid)
-        if table is None:
-            return -1
-        return (self._register_epoch << 40) | table.version
-
-    def has_superpages(self, asid: int) -> bool:
-        """Whether the ASID's table has *ever* mapped a superpage leaf.
-
-        The run kernel's reuse oracle assumes every walk returns a 4 KiB
-        leaf at full-walk cost; it refuses to engage (and, via the
-        mapping token, to stay engaged) once this is true.  Conservative
-        and monotonic on purpose -- see ``PageTable.superpages_ever``.
-        """
-        table = self._tables.get(asid)
-        return table is not None and table.superpages_ever
 
     def invalidate_memo(
         self, asid: Optional[int] = None, vpn: Optional[int] = None

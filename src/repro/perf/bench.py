@@ -1,6 +1,6 @@
 """The fast-path regression bench (``python -m repro bench``).
 
-Times the :mod:`repro.sim.kernel` kernels against the reference model
+Times the :mod:`repro.sim.kernel` fast path against the reference model
 over the workloads that dominate the reproduction's runtime, and refuses
 to report any speedup whose counters diverge -- the bench is first a
 differential test and only then a stopwatch.  Three tiers:
@@ -8,30 +8,22 @@ differential test and only then a stopwatch.  Three tiers:
 * **Trace replay** (the headline): each design -- SA, FA (the
   fully-associative organization), SP, RF, plus the miss-heavy omnetpp
   FA cell -- replays a precompiled Figure 7 SPEC trace through
-  ``BaseTLB.translate`` (reference), the per-position
-  ``BaseTLB.translate_slice`` (the ``access`` kernel) and the
-  run-granular ``BaseTLB.translate_runs`` (the ``run`` kernel),
-  comparing accesses/second.  The headline speedup is the ``run``
-  kernel's; the acceptance floor is a >= 8x geometric mean.
+  ``BaseTLB.translate`` (reference) and the batched
+  ``BaseTLB.translate_slice`` (the access kernel), comparing
+  accesses/second.  The acceptance floor is a >= 3x geometric mean.
 * **Security replay**: the RSA decryption trace (the victim workload
   behind the security evaluation's micro-benchmarks) replayed on each
   design with its protection programmed -- the SP victim partition and
-  the RF secure region over the MPI buffers -- so the kernels'
+  the RF secure region over the MPI buffers -- so the kernel's
   no-fill-buffer and partition handling is timed, not just exercised.
-* **End-to-end cells**: whole Figure 7 cells under ``fastpath=False``,
-  ``kernel="access"`` and ``kernel="run"``, asserting ``PerfResult``
-  equality three ways.  Wall-clock context only: trace *generation* is
-  shared by all paths, so the ratio here is structurally smaller than
-  the replay headline.
+* **End-to-end cells**: whole Figure 7 cells under ``fastpath=True`` vs
+  ``fastpath=False``, asserting ``PerfResult`` equality.  Wall-clock
+  context only: trace *generation* is shared by both paths, so the
+  ratio here is structurally smaller than the replay headline.
 
 Timings are best-of-:data:`REPS` with a fresh TLB per repetition.  Trace
-compilation, the structural pre-pass (``ensure_structure``) and the run
-kernel's reuse-oracle extension are the *compile tier*: paid once per
-trace, cached on the :class:`CompiledTrace`, and amortized across every
-replay of it.  The bench reports them honestly -- ``compile_seconds``
-and ``structure_seconds`` per row, and ``run_cold_seconds`` for the
-first ``run`` repetition (which pays the oracle extension the warm
-best-of excludes).
+compilation is paid once per trace and shared by every replay of it;
+the bench reports it separately as ``compile_seconds`` per row.
 
 ``bench()`` returns the report as plain dicts; the CLI renders it as
 text or JSON and writes ``BENCH_fastpath.json`` for CI to archive.
@@ -45,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mmu import PageTableWalker, make_walker
 from repro.security.kinds import TLBKind, make_tlb
-from repro.sim.kernel import STRUCTURE_BACKEND, CompiledTrace, RunState
+from repro.sim.kernel import CompiledTrace
 from repro.tlb.base import BaseTLB
 from repro.workloads.rsa import RSAWorkload, generate_key
 from repro.workloads.spec import by_name
@@ -53,20 +45,15 @@ from repro.workloads.spec import by_name
 from .configs import config_by_label
 from .harness import RSA_ASID, PerfSettings, run_cell
 
-#: The acceptance floor for the replay headline (geometric mean of the
-#: ``run`` kernel's speedups).  The per-access kernel's committed floor
-#: was 3.0; the run-granular tier raises it.
-SPEEDUP_FLOOR = 8.0
+#: The acceptance floor for the replay headline (geometric mean).
+SPEEDUP_FLOOR = 3.0
 
-#: Batch size for the batched-kernel replays (one quantum's worth of
+#: Batch size for ``translate_slice`` replay (one quantum's worth of
 #: events is the same order of magnitude).
 SLICE_STEP = 8192
 
 #: Repetitions per (case, path); the reported seconds are the best of
-#: these.  Every repetition replays on a fresh TLB, so the run kernel's
-#: first repetition additionally pays the trace's reuse-oracle
-#: extension (reported as ``run_cold_seconds``) which the cached
-#: :class:`CompiledTrace` amortizes away for the rest.
+#: these.  Every repetition replays on a fresh TLB.
 REPS = 3
 
 #: The headline grid: one row per design of the paper's evaluation --
@@ -92,7 +79,7 @@ CELL_CASES: Tuple[Tuple[TLBKind, str, str], ...] = (
 
 
 class CounterDivergence(AssertionError):
-    """A kernel's counters differed from the reference -- no speedup is
+    """Fast-path counters differed from the reference -- no speedup is
     reported for a run that did not do the same work."""
 
 
@@ -136,31 +123,6 @@ def _replay_access(
     return time.perf_counter() - start, cycles
 
 
-def _replay_runs(
-    tlb: BaseTLB, walker: PageTableWalker, trace: CompiledTrace,
-    count: int, asid: int,
-) -> Tuple[float, int, RunState]:
-    state = RunState()
-    cycles = 0
-    start = time.perf_counter()
-    translate_runs = tlb.translate_runs
-    for begin in range(0, count, SLICE_STEP):
-        sliced, _ = translate_runs(
-            trace, begin, min(begin + SLICE_STEP, count), asid, walker, state
-        )
-        cycles += sliced
-    return time.perf_counter() - start, cycles, state
-
-
-def _counters(tlb: BaseTLB) -> Dict[str, int]:
-    stats = tlb.stats
-    return {
-        "accesses": stats.accesses,
-        "hits": stats.hits,
-        "misses": stats.misses,
-    }
-
-
 def _replay_case(
     label: str,
     kind: TLBKind,
@@ -173,7 +135,7 @@ def _replay_case(
     secure: bool = False,
     region: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, Any]:
-    """Replay one compiled trace through all three paths and compare.
+    """Replay one compiled trace through both paths and compare.
 
     Each path runs :data:`REPS` times on a fresh TLB (best-of timing);
     the differential comparison -- full :class:`~repro.tlb.stats.TLBStats`
@@ -186,9 +148,8 @@ def _replay_case(
             tlb.set_secure_region(*region, victim_asid=asid)
         return tlb
 
-    timings: Dict[str, List[float]] = {"reference": [], "access": [], "run": []}
+    timings: Dict[str, List[float]] = {"reference": [], "access": []}
     outcomes: Dict[str, Tuple[Any, int]] = {}
-    run_state: Optional[RunState] = None
     for _ in range(REPS):
         tlb = fresh()
         seconds, cycles = _replay_reference(tlb, make_walker(), trace, count, asid)
@@ -200,22 +161,14 @@ def _replay_case(
         timings["access"].append(seconds)
         outcomes["access"] = (tlb.stats, cycles)
 
-        tlb = fresh()
-        seconds, cycles, run_state = _replay_runs(
-            tlb, make_walker(), trace, count, asid
-        )
-        timings["run"].append(seconds)
-        outcomes["run"] = (tlb.stats, cycles)
-
     ref_stats, ref_cycles = outcomes["reference"]
-    for path in ("access", "run"):
-        stats, cycles = outcomes[path]
-        if stats != ref_stats or cycles != ref_cycles:
-            raise CounterDivergence(
-                f"{label} {config_label} {workload}: {path} kernel"
-                f" (stats={stats}, cycles={cycles}) != reference"
-                f" (stats={ref_stats}, cycles={ref_cycles})"
-            )
+    stats, cycles = outcomes["access"]
+    if stats != ref_stats or cycles != ref_cycles:
+        raise CounterDivergence(
+            f"{label} {config_label} {workload}: access kernel"
+            f" (stats={stats}, cycles={cycles}) != reference"
+            f" (stats={ref_stats}, cycles={ref_cycles})"
+        )
     ref_counters = {
         "accesses": ref_stats.accesses,
         "hits": ref_stats.hits,
@@ -223,7 +176,6 @@ def _replay_case(
     }
     ref_seconds = min(timings["reference"])
     access_seconds = min(timings["access"])
-    run_seconds = min(timings["run"])
     return {
         "design": label,
         "kind": kind.value,
@@ -232,15 +184,8 @@ def _replay_case(
         "accesses": count,
         "hit_rate": ref_counters["hits"] / max(ref_counters["accesses"], 1),
         "reference_aps": count / ref_seconds,
-        "access_aps": count / access_seconds,
-        "fast_aps": count / run_seconds,
-        "access_speedup": ref_seconds / access_seconds,
-        "speedup": ref_seconds / run_seconds,
-        # The run kernel's first repetition extends the trace's reuse
-        # oracle (compile tier); the cached oracle serves the rest.
-        "run_cold_seconds": timings["run"][0],
-        "run_hits": run_state.run_hits,
-        "probed_accesses": run_state.probed,
+        "fast_aps": count / access_seconds,
+        "speedup": ref_seconds / access_seconds,
         "counters": ref_counters,
         "counters_equal": True,
         "headline": headline,
@@ -254,9 +199,6 @@ def _spec_replays(events: int) -> List[Dict[str, Any]]:
         start = time.perf_counter()
         count = min(trace.ensure(events), events)
         compile_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        trace.ensure_structure(count)
-        structure_seconds = time.perf_counter() - start
         row = _replay_case(
             label,
             kind,
@@ -268,7 +210,6 @@ def _spec_replays(events: int) -> List[Dict[str, Any]]:
             headline=True,
         )
         row["compile_seconds"] = compile_seconds
-        row["structure_seconds"] = structure_seconds
         rows.append(row)
     return rows
 
@@ -279,7 +220,6 @@ def _security_replays(runs: int, key_bits: int) -> List[Dict[str, Any]]:
     rsa = RSAWorkload(key=key, runs=runs)
     trace = CompiledTrace(rsa.events(random.Random(7)))
     count = trace.ensure(1 << 62)  # RSA traces are finite: compile fully.
-    trace.ensure_structure(count)
     rows = []
     for label, kind, config_label in (
         ("SA", TLBKind.SA, "4W 32"),
@@ -306,46 +246,35 @@ def _security_replays(runs: int, key_bits: int) -> List[Dict[str, Any]]:
 def _cell_cases(rsa_runs: int, spec_instructions: int) -> List[Dict[str, Any]]:
     from .harness import scenario_by_label
 
-    variants = (
-        ("reference", False, "run"),
-        ("access", True, "access"),
-        ("run", True, "run"),
-    )
     rows = []
     for kind, config_label, scenario_label in CELL_CASES:
         scenario = scenario_by_label(scenario_label)
-        timings: Dict[str, float] = {}
-        cells: Dict[str, Any] = {}
-        for name, fastpath, kernel in variants:
+        timings: Dict[bool, float] = {}
+        cells: Dict[bool, Any] = {}
+        for fastpath in (False, True):
             settings = PerfSettings(
-                spec_instructions=spec_instructions,
-                fastpath=fastpath,
-                kernel=kernel,
+                spec_instructions=spec_instructions, fastpath=fastpath
             )
             start = time.perf_counter()
-            cells[name] = run_cell(
+            cells[fastpath] = run_cell(
                 kind, config_label, scenario, rsa_runs, settings
             )
-            timings[name] = time.perf_counter() - start
-        for name in ("access", "run"):
-            if cells[name].results != cells["reference"].results:
-                raise CounterDivergence(
-                    f"cell {kind.value} {config_label} {scenario_label}: "
-                    f"{name}-kernel results diverge from reference"
-                )
-        total = cells["run"].total
+            timings[fastpath] = time.perf_counter() - start
+        if cells[True].results != cells[False].results:
+            raise CounterDivergence(
+                f"cell {kind.value} {config_label} {scenario_label}: "
+                f"fastpath results diverge from reference"
+            )
         rows.append(
             {
                 "design": kind.value,
                 "config": config_label,
                 "scenario": scenario_label,
                 "rsa_runs": rsa_runs,
-                "instructions": total.instructions,
-                "reference_seconds": timings["reference"],
-                "access_seconds": timings["access"],
-                "fast_seconds": timings["run"],
-                "access_speedup": timings["reference"] / timings["access"],
-                "speedup": timings["reference"] / timings["run"],
+                "instructions": cells[True].total.instructions,
+                "reference_seconds": timings[False],
+                "fast_seconds": timings[True],
+                "speedup": timings[False] / timings[True],
                 "results_equal": True,
             }
         )
@@ -370,7 +299,7 @@ def bench(
 
     ``quick`` shrinks every tier to CI-smoke size (the differential
     checks are just as strict; only the timing resolution suffers).
-    Raises :class:`CounterDivergence` if any tier's kernel counters
+    Raises :class:`CounterDivergence` if any tier's fast-path counters
     differ from the reference.
     """
     events = events if events is not None else (60_000 if quick else 400_000)
@@ -388,28 +317,16 @@ def bench(
     )
     headline_rows = [row for row in replay if row["headline"]]
     headline = _geomean([row["speedup"] for row in headline_rows])
-    access_headline = _geomean(
-        [row["access_speedup"] for row in headline_rows]
-    )
-    kernel_rows = replay + security
     return {
         "quick": quick,
         "events": events,
-        "structure_backend": STRUCTURE_BACKEND,
         "headline": {
             "geomean_speedup": headline,
-            "access_geomean_speedup": access_headline,
             "floor": SPEEDUP_FLOOR,
             "meets_floor": headline >= SPEEDUP_FLOOR,
             "per_design": {
                 row["design"]: row["speedup"] for row in headline_rows
             },
-        },
-        "kernel": {
-            "run_hits": sum(row["run_hits"] for row in kernel_rows),
-            "probed_accesses": sum(
-                row["probed_accesses"] for row in kernel_rows
-            ),
         },
         "replay": replay,
         "security": security,
@@ -425,18 +342,17 @@ def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
     trend survives overwrites: each ``--out`` write appends the new
     run's summary to whatever history the previous artifact carried
     (the committed first entry is the 3.69x full-size headline the
-    fast-path PR landed with; the run-kernel PR's entry records both
-    kernels' geomeans).
+    fast-path PR landed with).  Entries written while a run-granular
+    kernel existed also carry its ``access_geomean_speedup`` and
+    ``structure_backend``; their ``geomean_speedup`` is that kernel's.
     """
     headline = report["headline"]
     return {
         "geomean_speedup": headline["geomean_speedup"],
-        "access_geomean_speedup": headline.get("access_geomean_speedup"),
         "per_design": dict(headline["per_design"]),
         "meets_floor": headline["meets_floor"],
         "quick": report["quick"],
         "events": report["events"],
-        "structure_backend": report.get("structure_backend"),
         "counters_verified": report["counters_verified"],
     }
 
@@ -459,10 +375,9 @@ def format_report(report: Dict[str, Any]) -> str:
     """Render the bench report as the CLI's text output."""
     lines = [
         f"{'tier':9} {'design':6} {'config':8} {'workload':12} "
-        f"{'hit%':>6} {'ref acc/s':>11} {'run acc/s':>11} "
-        f"{'access':>7} {'run':>7}"
+        f"{'hit%':>6} {'ref acc/s':>12} {'fast acc/s':>12} {'speedup':>8}"
     ]
-    lines.append("-" * 84)
+    lines.append("-" * 80)
     for tier, rows in (("replay", report["replay"]),
                        ("security", report["security"])):
         for row in rows:
@@ -470,31 +385,22 @@ def format_report(report: Dict[str, Any]) -> str:
             lines.append(
                 f"{tier:9} {row['design']:5}{marker} {row['config']:8} "
                 f"{row['workload']:12} {row['hit_rate']:>6.1%} "
-                f"{row['reference_aps']:>11,.0f} {row['fast_aps']:>11,.0f} "
-                f"{row['access_speedup']:>6.2f}x {row['speedup']:>6.2f}x"
+                f"{row['reference_aps']:>12,.0f} {row['fast_aps']:>12,.0f} "
+                f"{row['speedup']:>7.2f}x"
             )
     for row in report["cells"]:
         lines.append(
             f"{'cell':9} {row['design']:6} {row['config']:8} "
             f"{row['scenario']:12} {'':>6} "
-            f"{row['reference_seconds']:>10.2f}s {row['fast_seconds']:>10.2f}s "
-            f"{row['access_speedup']:>6.2f}x {row['speedup']:>6.2f}x"
+            f"{row['reference_seconds']:>11.2f}s {row['fast_seconds']:>11.2f}s "
+            f"{row['speedup']:>7.2f}x"
         )
     headline = report["headline"]
-    kernel = report["kernel"]
     lines.append("")
     lines.append(
         f"headline (geomean over *): {headline['geomean_speedup']:.2f}x"
-        f" run kernel / {headline['access_geomean_speedup']:.2f}x access"
         f" (floor {headline['floor']:.1f}x:"
         f" {'met' if headline['meets_floor'] else 'NOT MET'})"
     )
-    total = kernel["run_hits"] + kernel["probed_accesses"]
-    share = kernel["run_hits"] / total if total else 0.0
-    lines.append(
-        f"run kernel: {kernel['run_hits']:,} run hits /"
-        f" {kernel['probed_accesses']:,} probed ({share:.1%} run share);"
-        f" structure backend: {report['structure_backend']}"
-    )
-    lines.append("counters: all kernels reference-equal")
+    lines.append("counters: all tiers reference-equal")
     return "\n".join(lines)

@@ -51,11 +51,6 @@ class PerfSettings:
     #: Results are identical either way (differentially verified); False
     #: selects the reference loop (``repro run-all --no-fastpath``).
     fastpath: bool = True
-    #: Which batched kernel the fast path drives quanta with
-    #: (:data:`repro.perf.timing.KERNELS`): ``"run"`` = the run-granular
-    #: tier, ``"access"`` = per-position slices.  Byte-identical results
-    #: (``repro run-all --kernel access`` flips it for A/B checks).
-    kernel: str = "run"
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,6 @@ def run_cell(
         seed=settings.seed,
         bus=bus,
         fastpath=settings.fastpath,
-        kernel=settings.kernel,
     )
     return Figure7Cell(
         kind=kind,

@@ -27,24 +27,10 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.mmu import PageTableWalker, SwitchPolicy, make_walker
 from repro.sim.events import EventBus
-from repro.sim.kernel import (
-    KERNEL_TELEMETRY,
-    CompiledTrace,
-    RunState,
-    supports_fastpath,
-    supports_runpath,
-)
+from repro.sim.kernel import CompiledTrace, supports_fastpath
 from repro.sim.system import MemorySystem
 from repro.tlb.base import BaseTLB
 from repro.workloads.trace import Workload
-
-#: The batched translation kernels ``simulate`` can drive a quantum with.
-#: ``"access"`` = per-position :meth:`BaseTLB.translate_slice`; ``"run"``
-#: = the run-granular :meth:`BaseTLB.translate_runs` tier (structural
-#: pre-pass + reuse oracle; see :mod:`repro.sim.kernel`).  Both are
-#: differentially verified against the reference loop, so the axis is a
-#: speed knob with byte-identical results.
-KERNELS = ("access", "run")
 
 
 @dataclass
@@ -99,25 +85,18 @@ def simulate(
     seed: int = 0,
     bus: Optional[EventBus] = None,
     fastpath: bool = True,
-    kernel: str = "run",
 ) -> Dict[str, PerfResult]:
     """Run the processes to completion, returning per-process results plus
     a ``"total"`` aggregate (which also reports the context-switch count).
 
     ``fastpath`` selects the compiled :class:`_FastRunner` loop when the
-    TLB supports it; ``kernel`` picks that loop's batched translation
-    kernel (:data:`KERNELS`): ``"run"`` drives quanta through the
-    run-granular :meth:`BaseTLB.translate_runs` tier, ``"access"``
-    through per-position :meth:`BaseTLB.translate_slice`.  Results are
-    identical along both axes (differentially verified), so these are
-    purely speed knobs.
+    TLB supports it; results are identical either way (the fast path is
+    differentially verified), so this is purely a speed knob.
     """
     if not processes:
         raise ValueError("need at least one process")
     if quantum <= 0:
         raise ValueError("quantum must be positive")
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     memory = MemorySystem(
         tlb,
         walker or make_walker(),
@@ -125,22 +104,11 @@ def simulate(
         bus=bus,
     )
 
-    if fastpath and supports_fastpath(tlb):
-        use_runs = kernel == "run" and supports_runpath(tlb)
-        runners = [
-            _FastRunner(
-                process,
-                memory,
-                random.Random(seed * 1000003 + index),
-                use_runs=use_runs,
-            )
-            for index, process in enumerate(processes)
-        ]
-    else:
-        runners = [
-            _Runner(process, memory, random.Random(seed * 1000003 + index))
-            for index, process in enumerate(processes)
-        ]
+    runner_cls = _FastRunner if fastpath and supports_fastpath(tlb) else _Runner
+    runners = [
+        runner_cls(process, memory, random.Random(seed * 1000003 + index))
+        for index, process in enumerate(processes)
+    ]
     if len(runners) == 1:
         # Single-process runs need no per-quantum rescheduling: latch the
         # ASID once (repeat same-ASID switches are no-ops anyway) and spin
@@ -161,9 +129,6 @@ def simulate(
     total = PerfResult(name="total")
     for runner in runners:
         total.absorb(runner.result)
-        state = getattr(runner, "_run_state", None)
-        if state is not None:
-            KERNEL_TELEMETRY.record(state)
     total.switches = memory.switches
     results["total"] = total
     return results
@@ -224,15 +189,11 @@ class _FastRunner:
     merely exceeding the remaining budget pends (here: the cursor simply
     does not advance).  The quantum's slice boundary is found with one
     binary search over the trace's cumulative-cost array, and the slice is
-    translated in one batched call -- :meth:`BaseTLB.translate_runs` with
-    a persistent cross-quantum :class:`RunState` under the ``"run"``
-    kernel, :meth:`BaseTLB.translate_slice` under ``"access"`` -- so
+    translated in one batched :meth:`BaseTLB.translate_slice` call, so
     neither budget arithmetic nor a Python call is paid per event.  With
     observers subscribed to the bus, quanta fall back to a per-event loop
     through ``MemorySystem.translate_fast`` (itself reference-equivalent),
-    so the event stream stays complete; the run kernel's resume checks
-    notice the skipped positions and rebuild their proofs, so mixing is
-    safe.
+    so the event stream stays complete.
     """
 
     def __init__(
@@ -240,13 +201,11 @@ class _FastRunner:
         process: ScheduledProcess,
         memory: MemorySystem,
         rng: random.Random,
-        use_runs: bool = False,
     ) -> None:
         self.process = process
         self._memory = memory
         self._trace = CompiledTrace(process.workload.events(rng))
         self._cursor = 0
-        self._run_state = RunState() if use_runs else None
         self.result = PerfResult(name=process.workload.name)
         self.done = False
 
@@ -294,15 +253,9 @@ class _FastRunner:
         # budget, is an oversized execute-anyway, and passes the limit
         # pre-check (remaining > 0 was verified above).
         count = stop - cursor
-        state = self._run_state
-        if state is not None:
-            cycles, misses = memory.tlb.translate_runs(
-                trace, cursor, stop, self.process.asid, memory.walker, state
-            )
-        else:
-            cycles, misses = memory.tlb.translate_slice(
-                trace.vpns, cursor, stop, self.process.asid, memory.walker
-            )
+        cycles, misses = memory.tlb.translate_slice(
+            trace.vpns, cursor, stop, self.process.asid, memory.walker
+        )
         cost = cum[stop - 1] - base
         self._cursor = stop
         memory.accesses += count

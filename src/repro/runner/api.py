@@ -78,10 +78,7 @@ def run_all(
     ``heartbeat_interval``, ``fallback_after``, ...) and
     ``executor_chaos`` arms the executor-level fault campaign.
     """
-    from repro.sim.kernel import KERNEL_TELEMETRY, STRUCTURE_BACKEND
-
     started = time.monotonic()
-    telemetry_base = KERNEL_TELEMETRY.snapshot()
     ensure_default_experiments()
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, jobs)
@@ -320,15 +317,6 @@ def run_all(
     elif manifest_path.exists():
         # A fully successful run clears the previous quarantine record.
         manifest_path.unlink()
-
-    # This run's run-kernel engagement: the process-global telemetry
-    # delta (serial cells accrue directly; pool workers shipped their
-    # counts home in their farewell messages, absorbed by the scheduler).
-    final = KERNEL_TELEMETRY.snapshot()
-    report.kernel_run_hits = final[0] - telemetry_base[0]
-    report.kernel_fallback_accesses = final[1] - telemetry_base[1]
-    report.kernel_runs = final[2] - telemetry_base[2]
-    report.kernel_backend = STRUCTURE_BACKEND
 
     report.elapsed = time.monotonic() - started
     log.emit("run_end", **report.summary_fields())

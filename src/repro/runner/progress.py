@@ -123,18 +123,11 @@ class RunReport:
     cells_stolen: int = 0
     #: Worker journals found torn mid-record (masked, but never silent).
     torn_journals: int = 0
-    #: -- run-kernel telemetry (this run's delta of
-    #: :data:`repro.sim.KERNEL_TELEMETRY`; pool workers ship their counts
-    #: home in their farewell message, work-stealing peers on other hosts
-    #: do not, so their cells count as zero here) ---------------------------
-    #: Accesses retired by proven hit-runs without a per-access probe.
+    #: -- inert, read only by the perfbench benchmark ----------------------
+    #: Always zero; nothing in repro counts them.  Drop both with the next
+    #: benchmark change.
     kernel_run_hits: int = 0
-    #: Accesses that fell back to the per-access probe.
     kernel_fallback_accesses: int = 0
-    #: Nonempty proven runs.
-    kernel_runs: int = 0
-    #: Structural-pre-pass backend active in this process ("numpy"/"python").
-    kernel_backend: str = ""
 
     @property
     def cache_hit_rate(self) -> float:
@@ -183,10 +176,6 @@ class RunReport:
             "fallback_cells": self.fallback_cells,
             "cells_stolen": self.cells_stolen,
             "torn_journals": self.torn_journals,
-            "kernel_run_hits": self.kernel_run_hits,
-            "kernel_fallback_accesses": self.kernel_fallback_accesses,
-            "kernel_runs": self.kernel_runs,
-            "kernel_backend": self.kernel_backend,
         }
 
 

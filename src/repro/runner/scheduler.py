@@ -234,19 +234,12 @@ def _worker_main(
     every attempt (poison-cell quarantine).
     """
     from repro.runner.registry import ensure_default_experiments
-    from repro.sim.kernel import KERNEL_TELEMETRY
 
     ensure_default_experiments()
-    # Forked workers inherit whatever kernel telemetry the parent had
-    # already accumulated; reset so the farewell snapshot below is this
-    # worker's own contribution and the parent can absorb it as a delta.
-    KERNEL_TELEMETRY.reset()
     while True:
         item = task_queue.get()
         if item is None:
-            result_queue.put(
-                ("bye", worker_id, -1, KERNEL_TELEMETRY.snapshot(), 0.0)
-            )
+            result_queue.put(("bye", worker_id, -1, None, 0.0))
             return
         task_id, experiment_name, params, ident, attempt = item
         result_queue.put(("claim", worker_id, task_id, None, 0.0))
@@ -500,13 +493,6 @@ class Scheduler(Executor):
                     continue
 
                 if kind == "bye":
-                    # A worker's farewell carries its run-kernel telemetry
-                    # snapshot; workers killed mid-cell simply lose theirs
-                    # (observability, not correctness).
-                    if payload is not None:
-                        from repro.sim.kernel import KERNEL_TELEMETRY
-
-                        KERNEL_TELEMETRY.absorb(payload)
                     continue
                 if kind == "claim":
                     claimed[task_id] = worker_id
@@ -584,9 +570,7 @@ class Scheduler(Executor):
                 remaining=len(by_id) - len(outcomes),
             )
         finally:
-            self._shutdown(
-                workers, task_queue, result_queue, force=self.interrupted
-            )
+            self._shutdown(workers, task_queue, force=self.interrupted)
         return outcomes
 
     def _watchdog(
@@ -688,15 +672,11 @@ class Scheduler(Executor):
             )
             self.worker_busy.setdefault(replacement_id, 0.0)
 
-    def _shutdown(
-        self, workers, task_queue, result_queue=None, force: bool = False
-    ) -> None:
+    def _shutdown(self, workers, task_queue, force: bool = False) -> None:
         """Stop all workers; ``force`` terminates without draining.
 
         The forced path serves Ctrl-C: workers are interrupted mid-cell,
-        so waiting for sentinel pickup would hang on a full queue.  The
-        graceful path drains the workers' farewell messages, absorbing
-        the run-kernel telemetry snapshots they carry.
+        so waiting for sentinel pickup would hang on a full queue.
         """
         if force:
             for process in workers.values():
@@ -716,21 +696,6 @@ class Scheduler(Executor):
             except queue_module.Full:  # pragma: no cover - tiny queue race
                 pass
         deadline = time.monotonic() + 5.0
-        if result_queue is not None:
-            from repro.sim.kernel import KERNEL_TELEMETRY
-
-            farewells = 0
-            while farewells < len(workers) and time.monotonic() < deadline:
-                try:
-                    kind, _worker, _task, payload, _elapsed = (
-                        result_queue.get(timeout=0.2)
-                    )
-                except queue_module.Empty:
-                    continue
-                if kind == "bye":
-                    farewells += 1
-                    if payload is not None:
-                        KERNEL_TELEMETRY.absorb(payload)
         for process in workers.values():
             process.join(timeout=max(0.0, deadline - time.monotonic()))
         for process in workers.values():

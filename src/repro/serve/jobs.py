@@ -434,20 +434,11 @@ class JobManager:
             "inflight_dedup_attached",
             lambda: sum(job.attached for job in self.inflight.values()),
         )
-        # Run-kernel engagement across every cell this process has run
-        # (the service's executors are in-process, so the process-global
-        # telemetry covers them all; see repro.sim.KernelTelemetry).
-        from repro.sim.kernel import KERNEL_TELEMETRY, STRUCTURE_BACKEND
-
-        metrics.register_gauge(
-            "kernel_run_hits", lambda: KERNEL_TELEMETRY.run_hits
-        )
-        metrics.register_gauge(
-            "kernel_fallback_accesses",
-            lambda: KERNEL_TELEMETRY.fallback_accesses,
-        )
-        metrics.register_gauge("kernel_runs", lambda: KERNEL_TELEMETRY.runs)
-        metrics.register_gauge("kernel_backend", lambda: STRUCTURE_BACKEND)
+        # Inert, read only by the perfbench benchmark: always zero, since
+        # nothing in repro counts them.  Drop both with the next
+        # benchmark change.
+        metrics.register_gauge("kernel_run_hits", lambda: 0)
+        metrics.register_gauge("kernel_fallback_accesses", lambda: 0)
 
     def queue_depth(self) -> int:
         """Jobs admitted but not yet picked up by a dispatcher."""

@@ -38,18 +38,12 @@ from .events import (
     WalkEvent,
 )
 from .kernel import (
-    KERNEL_TELEMETRY,
-    STRUCTURE_BACKEND,
     CompiledTrace,
-    KernelTelemetry,
-    ReuseOracle,
-    RunState,
     pack_result,
     packed_cycles,
     packed_filled,
     packed_hit,
     supports_fastpath,
-    supports_runpath,
 )
 from .observers import (
     JsonlWriter,
@@ -63,9 +57,7 @@ from .system import MemorySystem
 from .trace import SCENARIOS, TraceReport, read_trace, run_scenario
 
 __all__ = [
-    "KERNEL_TELEMETRY",
     "SCENARIOS",
-    "STRUCTURE_BACKEND",
     "TraceReport",
     "AccessEvent",
     "CompiledTrace",
@@ -75,12 +67,9 @@ __all__ = [
     "FillEvent",
     "FlushEvent",
     "JsonlWriter",
-    "KernelTelemetry",
     "MemorySystem",
     "ProbeOutcome",
     "RefillEvent",
-    "ReuseOracle",
-    "RunState",
     "SetProber",
     "StatsObserver",
     "TornRecordError",
@@ -95,5 +84,4 @@ __all__ = [
     "read_trace",
     "run_scenario",
     "supports_fastpath",
-    "supports_runpath",
 ]

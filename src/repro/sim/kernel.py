@@ -1,11 +1,11 @@
-"""The allocation-free fast-path translation kernels.
+"""The allocation-free fast-path translation kernel.
 
 The reference model pays, per translation, one frozen ``AccessResult``,
 one ``WalkResult`` per walk, and (when traced) an event object -- fine for
 correctness, ruinous for the millions of accesses behind Figure 7 and the
 attack suites.  Following the specialisation idea of "Fast TLB Simulation
 for RISC-V Systems" (Guo, 2019), the kernel keeps the *reference model as
-the specification* and adds differentially-verified fast paths:
+the specification* and adds a differentially-verified fast path:
 
 * ``MemorySystem.translate_fast(vpn, asid)`` returns one packed int --
   ``cycles << 2 | hit << 1 | filled`` -- instead of an ``AccessResult``,
@@ -15,28 +15,12 @@ the specification* and adds differentially-verified fast paths:
 * :class:`CompiledTrace` materialises a workload's ``(gap, vpn)`` event
   stream into flat ``array('q')`` columns, chunk by chunk (streams may be
   infinite), so the timing model's quantum loop runs over array slices
-  instead of generator frames and tuples.
-* The **run kernel** (second-generation speed tier): a structural
-  pre-pass over the compiled columns (:meth:`CompiledTrace.ensure_structure`)
-  records, per trace position, the previous and next occurrence of the
-  same page.  ``BaseTLB.translate_runs`` uses those columns to *prove*
-  that whole stretches of the trace hit with no replacement-state-visible
-  change beyond MRU reordering, advancing access/hit counters, the clock
-  and the cycle accumulator for the entire run at once, and falls back to
-  the per-access probe only at the positions where a fill, eviction,
-  no-fill buffer return, superpage probe or context switch could occur.
-  :class:`RunState` carries the proof threshold across quanta (validated
-  against the TLB's mutation counter), and :data:`KERNEL_TELEMETRY`
-  aggregates how often the run tier actually engaged.
+  instead of generator frames and tuples, translating each quantum with
+  one batched ``BaseTLB.translate_slice`` call (the access kernel, the
+  only fast tier).
 
-The structure pre-pass has two interchangeable backends: pure Python
-(always present) and a numpy-vectorised one (:mod:`repro.sim.kernel_np`,
-auto-detected; :data:`STRUCTURE_BACKEND` reports which is active).  The
-run loop itself is pure Python either way -- numpy's per-call overhead
-loses on the short runs that dominate miss-heavy traces.
-
-Equivalence is enforced three ways: by construction (all paths share the
-TLB state machine, statistics and cycle model -- the fast paths only skip
+Equivalence is enforced three ways: by construction (both paths share the
+TLB state machine, statistics and cycle model -- the fast path only skips
 result/event *object construction*), by the differential suite
 (``tests/sim/test_fastpath_equivalence.py``), and continuously by
 ``python -m repro bench`` which refuses to report a speedup whose counters
@@ -46,36 +30,22 @@ diverge.  See ``docs/performance.md``.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 #: Bit layout of a packed translation result.
 HIT_BIT = 0b10
 FILL_BIT = 0b01
 CYCLE_SHIFT = 2
 
+#: Inert, read only by the perfbench benchmark, which prints it in its
+#: environment line; this module has no structure pre-pass.  Drop it
+#: with the next benchmark change.
+STRUCTURE_BACKEND = "none"
+
 #: Events materialised per :meth:`CompiledTrace.extend` pull.  Large enough
 #: to amortise the generator resumption, small enough that infinite SPEC
 #: streams never over-materialise past the instruction budget.
 CHUNK = 4096
-
-#: ``nxt`` sentinel for "no later occurrence compiled (yet)".  Far above
-#: any real trace position, so ``nxt[j] >= run_end`` stays true for final
-#: touches; patched down in place when the next occurrence compiles.
-INF_HORIZON = 1 << 62
-
-#: Granularities of the precomputed run-detection minima: the run scanner
-#: skips ``RUN_BLOCK`` (or ``SUB_BLOCK``) positions with one list read
-#: when a whole block's minimum reuse distance clears the threshold.
-RUN_BLOCK = 128
-SUB_BLOCK = 16
-
-try:  # The vectorised structure pre-pass backend (optional).
-    from . import kernel_np as _structure_np
-
-    STRUCTURE_BACKEND = "numpy"
-except Exception:  # pragma: no cover - environment-dependent
-    _structure_np = None
-    STRUCTURE_BACKEND = "python"
 
 
 def pack_result(cycles: int, hit: bool, filled: bool) -> int:
@@ -111,60 +81,9 @@ class CompiledTrace:
     compiled, so infinite streams (SPEC profiles run under an instruction
     budget) compile exactly as far as the run consumes them.  The arrays
     only ever grow in place -- callers may cache references to them.
-
-    On top of the event columns, :meth:`ensure_structure` lazily derives
-    the *run-structure* columns the run kernel proves hit-runs with:
-
-    ``prev[i]``
-        Trace position of the previous access to ``vpns[i]`` (-1 if this
-        is the first).  Immutable once written: given a threshold ``T``
-        below which residency is unknown, ``prev[i] >= T`` proves access
-        ``i`` hits (the page was touched at ``prev[i]`` and nothing since
-        ``T`` evicted or invalidated any entry).
-    ``nxt[i]``
-        Position of the next access to ``vpns[i]``; :data:`INF_HORIZON`
-        until that occurrence compiles (values only ever decrease, so a
-        stale read is conservative).  ``nxt[i] >= run_end`` identifies the
-        *last* touch of each page inside a run window -- the only touch
-        whose LRU timestamp the run kernel must materialise.
-    ``sub_min_prev`` / ``blk_min_prev``
-        Minima of ``prev`` over aligned :data:`SUB_BLOCK` /
-        :data:`RUN_BLOCK` windows, so run detection skips whole blocks at
-        C speed instead of comparing element-wise.
-    ``occ``
-        Per-page sorted occurrence lists (``vpn -> [positions]``): when a
-        fill evicts page ``V``, one bisect finds ``V``'s next occurrence
-        -- the *next-eviction horizon* at which a hit-run must break
-        because that access is a forced miss.
-    ``boundary_firsts``
-        Positions whose ``prev`` predates their structure extension (the
-        first occurrence of each page per :meth:`ensure_structure` call),
-        ascending.  A page evicted with *no* occurrence in the structure
-        compiled so far may still reappear in events compiled later; run
-        states scan the new boundary-firsts each quantum to convert such
-        open evictions into concrete horizons.
-
-    The structure columns are plain lists (not ``array('q')``): the run
-    scanner's ``min()`` over list slices and indexed reads skip the int
-    re-boxing an array would pay per element.  The pre-pass itself runs
-    on the numpy backend when available (:data:`STRUCTURE_BACKEND`).
     """
 
-    __slots__ = (
-        "gaps",
-        "vpns",
-        "cum",
-        "exhausted",
-        "_source",
-        "prev",
-        "nxt",
-        "sub_min_prev",
-        "blk_min_prev",
-        "occ",
-        "boundary_firsts",
-        "_last_pos",
-        "_oracles",
-    )
+    __slots__ = ("gaps", "vpns", "cum", "exhausted", "_source")
 
     def __init__(self, events: Iterable[Tuple[int, int]]) -> None:
         self.gaps = array("q")
@@ -172,16 +91,6 @@ class CompiledTrace:
         self.cum = array("q")
         self.exhausted = False
         self._source: Iterator[Tuple[int, int]] = iter(events)
-        self.prev: List[int] = []
-        self.nxt: List[int] = []
-        self.sub_min_prev: List[int] = []
-        self.blk_min_prev: List[int] = []
-        self.occ: dict = {}
-        self.boundary_firsts: List[int] = []
-        #: vpn -> position of its latest structured occurrence.
-        self._last_pos: dict = {}
-        #: (nsets, ways) -> cached :class:`ReuseOracle` over this trace.
-        self._oracles: dict = {}
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -219,189 +128,16 @@ class CompiledTrace:
                 self.exhausted = True
         return len(self.gaps)
 
+    # -- inert, read only by the perfbench benchmark ------------------------
+    # perfbench/spans.py wraps these two by name from the class dict.
+    # Nothing in repro calls them; drop them with the next benchmark
+    # change.
+
     def ensure_structure(self, upto: int) -> int:
-        """Extend the run-structure columns over every compiled event.
+        return 0
 
-        ``upto`` is a floor, not a budget: the structure always catches
-        up with whatever :meth:`ensure` has compiled (events are only
-        compiled because a run will consume them, so structuring them all
-        wastes nothing and keeps the block minima chunk-aligned).
-        Returns the number of structured positions.
-        """
-        limit = len(self.gaps)
-        start = len(self.prev)
-        if start < limit:
-            if _structure_np is not None:
-                _structure_np.extend_structure(self, start, limit, INF_HORIZON)
-            else:
-                self._extend_structure(start, limit)
-            self._extend_minima(limit)
-        return len(self.prev)
-
-    def _extend_structure(self, start: int, limit: int) -> None:
-        """Pure-Python structure pre-pass over positions [start, limit)."""
-        vpns = self.vpns
-        nxt = self.nxt
-        occ = self.occ
-        last_pos = self._last_pos
-        append_prev = self.prev.append
-        append_nxt = nxt.append
-        append_bf = self.boundary_firsts.append
-        for position in range(start, limit):
-            vpn = vpns[position]
-            earlier = last_pos.get(vpn, -1)
-            append_prev(earlier)
-            append_nxt(INF_HORIZON)
-            if earlier >= start:
-                nxt[earlier] = position
-            else:
-                append_bf(position)
-                if earlier >= 0:
-                    nxt[earlier] = position
-            last_pos[vpn] = position
-            chain = occ.get(vpn)
-            if chain is None:
-                occ[vpn] = [position]
-            else:
-                chain.append(position)
-
-    def _extend_minima(self, limit: int) -> None:
-        """Extend the two block-minima tiers over fully-structured blocks.
-
-        ``prev`` is immutable once appended, so the minima never go
-        stale; ``min()`` over a list slice runs at C speed without
-        re-boxing the ints.
-        """
-        prev = self.prev
-        sub = self.sub_min_prev
-        for block in range(len(sub), limit // SUB_BLOCK):
-            base = block * SUB_BLOCK
-            sub.append(min(prev[base:base + SUB_BLOCK]))
-        blk = self.blk_min_prev
-        span = RUN_BLOCK // SUB_BLOCK
-        for block in range(len(blk), limit // RUN_BLOCK):
-            base = block * span
-            blk.append(min(sub[base:base + span]))
-
-    def reuse_oracle(self, nsets: int, ways: int, upto: int) -> "ReuseOracle":
-        """The (cached) exact LRU hit/miss oracle for one TLB geometry,
-        extended to cover at least ``min(upto, len(self))`` positions."""
-        key = (nsets, ways)
-        oracle = self._oracles.get(key)
-        if oracle is None:
-            oracle = ReuseOracle(nsets, ways)
-            self._oracles[key] = oracle
-        oracle.extend(self, min(upto, len(self.gaps)))
-        return oracle
-
-
-class ReuseOracle:
-    """Exact per-set LRU miss schedule for one trace x one TLB geometry.
-
-    The run kernel's *horizon ledger* proves hit-runs incrementally, one
-    probe per miss.  For a single-ASID trace replayed into an LRU
-    set-associative TLB starting empty, the entire hit/miss schedule is a
-    pure function of the trace and the geometry -- so this pre-pass
-    simulates each set as an insertion-ordered dict (Python dicts *are*
-    LRU stacks: delete + reinsert moves a key to MRU, ``next(iter(s))``
-    is the LRU victim) and records, per compiled position, only the
-    misses:
-
-    ``miss_pos[k]`` / ``miss_page[k]``
-        Trace position and page of the k-th miss.
-    ``miss_evict[k]``
-        The page evicted by the k-th miss's fill, or -1 when the fill
-        took an invalid way (TLB not yet warm in that set).
-    ``inv_cum[k]``
-        Cumulative count of invalid-way fills through miss ``k``
-        (inclusive) -- lets a slice replay derive its eviction count by
-        subtraction.
-    ``page_misses``
-        ``vpn -> ascending positions of that page's misses``; a miss
-        that is the page's *first* miss globally is its first-ever walk
-        (the one that may auto-map and allocate the physical frame).
-
-    ``BaseTLB.translate_runs`` replays a whole quantum slice against
-    this schedule in O(misses), touching Python-level TLB entry objects
-    only once per slice (reconciliation), instead of O(misses) probe
-    calls through the ledger.  The engagement predicate -- empty TLB,
-    position 0, true-LRU policy, single ASID, auto-mapping walker, no
-    superpages, no secure region -- lives in the TLB layer, which falls
-    back to the ledger (and from there to per-access probes) whenever
-    any assumption breaks; the oracle itself is policy-free trace math.
-
-    Extension is incremental (``extend``) so infinite streams pay only
-    for what a run consumes; a fully-associative geometry is simply
-    ``nsets == 1``.
-    """
-
-    __slots__ = (
-        "nsets",
-        "ways",
-        "limit",
-        "miss_pos",
-        "miss_page",
-        "miss_evict",
-        "inv_cum",
-        "page_misses",
-        "_sets",
-        "_invalid",
-    )
-
-    def __init__(self, nsets: int, ways: int) -> None:
-        if nsets <= 0 or ways <= 0:
-            raise ValueError("oracle geometry must be positive")
-        self.nsets = nsets
-        self.ways = ways
-        #: Positions [0, limit) are simulated.
-        self.limit = 0
-        self.miss_pos = array("q")
-        self.miss_page = array("q")
-        self.miss_evict = array("q")
-        self.inv_cum = array("q")
-        self.page_misses: dict = {}
-        self._sets: List[dict] = [dict() for _ in range(nsets)]
-        self._invalid = 0
-
-    def extend(self, trace: "CompiledTrace", limit: int) -> None:
-        """Simulate positions ``[self.limit, limit)`` of ``trace``."""
-        if limit <= self.limit:
-            return
-        vpns = trace.vpns
-        nsets = self.nsets
-        ways = self.ways
-        sets = self._sets
-        page_misses = self.page_misses
-        append_pos = self.miss_pos.append
-        append_page = self.miss_page.append
-        append_evict = self.miss_evict.append
-        append_inv = self.inv_cum.append
-        invalid = self._invalid
-        for position in range(self.limit, limit):
-            vpn = vpns[position]
-            lru = sets[vpn % nsets]
-            if vpn in lru:
-                del lru[vpn]  # Re-insert below: dict order is LRU order.
-                lru[vpn] = None
-                continue
-            if len(lru) >= ways:
-                victim = next(iter(lru))
-                del lru[victim]
-                append_evict(victim)
-            else:
-                append_evict(-1)
-                invalid += 1
-            lru[vpn] = None
-            append_pos(position)
-            append_page(vpn)
-            append_inv(invalid)
-            chain = page_misses.get(vpn)
-            if chain is None:
-                page_misses[vpn] = [position]
-            else:
-                chain.append(position)
-        self._invalid = invalid
-        self.limit = limit
+    def reuse_oracle(self, nsets: int, ways: int, upto: int) -> None:
+        return None
 
 
 def supports_fastpath(tlb: object) -> bool:
@@ -414,164 +150,3 @@ def supports_fastpath(tlb: object) -> bool:
     reference path instead of breaking.
     """
     return hasattr(tlb, "translate_fast")
-
-
-def supports_runpath(tlb: object) -> bool:
-    """Whether a TLB-like object implements the run-granular kernel."""
-    return hasattr(tlb, "translate_runs")
-
-
-class RunState:
-    """The run kernel's cross-quantum proof state for one (runner, trace).
-
-    The proof has two halves (see :meth:`repro.tlb.BaseTLB.translate_runs`):
-
-    ``threshold``
-        An *absolute trace position* ``T`` such that every page touched
-        at a position ``>= T`` is still resident -- except the pages in
-        the eviction ledger below.  ``T`` only moves on the events whose
-        exact effect the kernel cannot name: an eviction of unknown
-        identity, a superpage eviction, a no-fill return (``T`` moves
-        *past* the miss: the requested page itself was left non-resident),
-        or an external mutation (reset to the resume position).
-    ``hheap`` / ``open_evicts``
-        The eviction ledger.  An ordinary eviction un-residents exactly
-        one page ``V``; instead of collapsing ``T``, the kernel bisects
-        ``V``'s occurrence list for its next appearance ``q`` -- a forced
-        miss -- and pushes ``q`` onto the min-heap ``hheap`` of
-        *next-eviction horizons*.  Hit-runs extend only below the heap
-        top, and each horizon is popped when its probe refills the page.
-        A page with no known future occurrence parks in ``open_evicts``
-        (``vpn -> eviction position``) until the trace's newly-structured
-        ``boundary_firsts`` (scanned from ``bf_cursor``) reveal one.
-
-    ``mut`` snapshots the owning TLB's mutation counter at the end of the
-    last quantum; a mismatch at the start of the next one means some
-    other actor (another process's evictions, an ``sfence.vma``, a
-    Sec-region update) touched replacement state in between, and the
-    whole proof state restarts at the resume position.  It initialises
-    to -1 so a fresh state never trusts an unvalidated proof.
-
-    ``run_hits`` / ``probed`` / ``runs`` count accesses proven by runs,
-    accesses that went through the per-access probe, and the number of
-    nonempty runs -- harvested into :data:`KERNEL_TELEMETRY`.
-
-    ``walk_cache`` / ``walk_token`` memoize page-table walks on the
-    probed-miss path (``vpn -> ppn << 20 | cycles << 2 | level``),
-    validated against the translator's ``memo_token`` (the page table's
-    mapping version) once per quantum -- mappings cannot change *during*
-    a quantum, so a stable token proves every cached result is what
-    ``walk`` would return.  Translators without a ``memo_token``
-    (hierarchy level adapters, whose "walks" have lower-level side
-    effects) never engage the cache.
-
-    The ``o_*`` fields carry the *oracle tier* (see :class:`ReuseOracle`):
-    while ``o_active``, whole quantum slices retire against the
-    precomputed miss schedule and the ledger fields above lie fallow.
-    ``o_resident`` maps each resident page to its :class:`~repro.tlb.entry.TLBEntry`
-    object and ``o_free`` holds the per-set never-filled entry objects;
-    ``o_pos`` / ``o_cursor`` are the trace position and miss-schedule
-    index the oracle has retired through; ``o_clock0`` anchors the TLB
-    clock at engagement so LRU timestamps reconstruct as ``clock0 +
-    position + 1``.  ``o_accesses`` / ``o_fills`` / ``o_mut`` /
-    ``o_token`` snapshot the TLB's access/fill counters, its mutation
-    counter and the translator's mapping token after each slice; any
-    between-quanta delta (another process touched the TLB, a remap, an
-    ``sfence.vma``) disengages the oracle permanently for this state and
-    the ledger takes over -- its own ``mut`` mismatch handles the
-    hand-off reset.
-    """
-
-    __slots__ = (
-        "threshold",
-        "mut",
-        "hheap",
-        "open_evicts",
-        "bf_cursor",
-        "run_hits",
-        "probed",
-        "runs",
-        "walk_cache",
-        "walk_token",
-        "o_active",
-        "o_oracle",
-        "o_cursor",
-        "o_pos",
-        "o_clock0",
-        "o_resident",
-        "o_free",
-        "o_accesses",
-        "o_fills",
-        "o_mut",
-        "o_token",
-        "o_asid",
-    )
-
-    def __init__(self) -> None:
-        self.threshold = 0
-        self.mut = -1
-        self.hheap: List[int] = []
-        self.open_evicts: dict = {}
-        self.bf_cursor = 0
-        self.run_hits = 0
-        self.probed = 0
-        self.runs = 0
-        self.walk_cache: dict = {}
-        self.walk_token = -1
-        self.o_active = False
-        self.o_oracle = None
-        self.o_cursor = 0
-        self.o_pos = 0
-        self.o_clock0 = 0
-        self.o_resident: dict = {}
-        self.o_free: List[list] = []
-        self.o_accesses = 0
-        self.o_fills = 0
-        self.o_mut = 0
-        self.o_token = -1
-        self.o_asid = -1
-
-
-class KernelTelemetry:
-    """Aggregate run-kernel engagement counters (process-wide).
-
-    Operators need to see whether the run tier actually engages (a
-    miss-heavy workload degenerates to the per-access probe without any
-    correctness signal).  Runners absorb their :class:`RunState` counts
-    here at the end of each simulation; worker processes ship a snapshot
-    delta back to the orchestrator, which absorbs it into its own
-    instance, so ``run-all`` summaries and ``serve`` metrics see the
-    whole fleet.
-    """
-
-    __slots__ = ("run_hits", "fallback_accesses", "runs")
-
-    def __init__(self) -> None:
-        self.run_hits = 0
-        self.fallback_accesses = 0
-        self.runs = 0
-
-    def reset(self) -> None:
-        self.run_hits = 0
-        self.fallback_accesses = 0
-        self.runs = 0
-
-    def record(self, state: RunState) -> None:
-        """Fold one runner's finished :class:`RunState` into the totals."""
-        self.run_hits += state.run_hits
-        self.fallback_accesses += state.probed
-        self.runs += state.runs
-
-    def snapshot(self) -> Tuple[int, int, int]:
-        return (self.run_hits, self.fallback_accesses, self.runs)
-
-    def absorb(self, delta: Tuple[int, int, int]) -> None:
-        """Add a worker's ``snapshot`` delta to this instance."""
-        self.run_hits += delta[0]
-        self.fallback_accesses += delta[1]
-        self.runs += delta[2]
-
-
-#: Process-wide run-kernel engagement counters (see
-#: :class:`KernelTelemetry`); surfaced by ``run-all`` and ``serve``.
-KERNEL_TELEMETRY = KernelTelemetry()

@@ -15,28 +15,22 @@ to the resident entry, maintained alongside ``_sets`` by every fill,
 eviction, flush and invalidation (the coherence invariant
 :meth:`BaseTLB.audit` checks).  The index turns the per-access way scan
 into at most three dict probes -- one per superpage level -- and backs the
-allocation-free :meth:`BaseTLB.translate_fast` kernel used by the trace
-simulator (see :mod:`repro.sim.kernel`).
+allocation-free :meth:`BaseTLB.translate_fast` and
+:meth:`BaseTLB.translate_slice` kernels used by the trace simulator (see
+:mod:`repro.sim.kernel`).  Both send every miss through the design's
+:meth:`BaseTLB._handle_miss`, so each fill policy is written exactly once.
 """
 
 from __future__ import annotations
 
 import abc
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from operator import attrgetter
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from .config import TLBConfig
 from .entry import TLBEntry
-from .replacement import LRUPolicy, ReplacementPolicy, make_policy
+from .replacement import ReplacementPolicy, make_policy
 from .stats import TLBStats
-
-#: Sort key for :meth:`BaseTLB._rebuild_victim_queue` (stable sort keeps
-#: candidate order on the impossible-in-practice tie, matching reference
-#: ``select``'s first-minimum rule).
-_BY_LAST_USED = attrgetter("last_used")
 
 
 @dataclass(frozen=True)
@@ -120,40 +114,6 @@ class BaseTLB(abc.ABC):
         #: Precomputed hit return value for :meth:`translate_fast`
         #: (cycles << 2 | hit bit; a hit never fills).
         self._hit_packed = (config.hit_latency << 2) | 0b10
-        #: Replacement-visible mutation epoch: bumped by every eviction,
-        #: invalidation, flush and Sec-region change -- every state change
-        #: that can make a previously-resident page non-resident.  Plain
-        #: fills into invalid ways and MRU reordering do *not* bump it, so
-        #: the run kernel's cross-quantum hit proofs (which only assert
-        #: residency of recently-touched pages) survive them.  See
-        #: :meth:`translate_runs`.
-        self._mutations = 0
-        #: Count of resident Sec-bit entries (Random-Fill designs); the
-        #: run kernel's fast miss path is only safe while this is zero.
-        self._sec_resident = 0
-        #: Identity of the entry displaced by the most recent
-        #: :meth:`_fill_fast` / action-3 miss, read back by
-        #: :meth:`translate_runs` to place the eviction horizon (plain
-        #: attributes instead of a return object keep the path
-        #: allocation-free).
-        self._evicted_vpn = 0
-        self._evicted_asid = 0
-        self._evicted_level = 0
-        #: Amortised-O(1) LRU victim machinery (:meth:`_victim_fast`):
-        #: per-set caches of the full LRU order, each pop validated
-        #: against the entry's live ``last_used`` (timestamps only grow,
-        #: so an unchanged snapshot proves the entry is still the set
-        #: minimum).  ``_inval_epoch`` moves only on invalidations and
-        #: flushes -- the events that can resurface reference
-        #: ``select``'s invalid-way preference -- discarding every cached
-        #: order wholesale.
-        self._victim_queues: Dict[int, List] = {}
-        self._inval_epoch = 0
-        #: Hot-path copies of config-derived values (``config.sets`` is a
-        #: computed property; the run kernel's miss path reads these per
-        #: miss).
-        self._nsets = config.sets
-        self._hit_latency = config.hit_latency
 
     # -- the shared hit path ---------------------------------------------------
 
@@ -184,7 +144,7 @@ class BaseTLB(abc.ABC):
         :meth:`repro.sim.MemorySystem.translate_fast`, no events), which
         is what the batched trace simulator runs millions of times.  The
         miss path still goes through the design's :meth:`_handle_miss`,
-        so the four fill policies stay implemented exactly once.
+        so each design's fill policy stays written exactly once.
         """
         self._clock += 1
         # Inlined level-0 probe (the overwhelmingly common case).  The
@@ -229,8 +189,10 @@ class BaseTLB(abc.ABC):
         trace-driven quantum loop: state (clock, index, hit counters) is
         hoisted into locals across the hit run and synced back around
         every miss, so the common all-hit stretch costs one dict probe and
-        a handful of local operations per access.  State transitions and
-        statistics are identical to ``stop - start`` single calls.
+        a handful of local operations per access.  Misses go through the
+        design's :meth:`_handle_miss`, like :meth:`translate_fast`'s.
+        State transitions and statistics are identical to
+        ``stop - start`` single calls.
         """
         index = self._index
         stats = self.stats
@@ -279,703 +241,6 @@ class BaseTLB(abc.ABC):
         stats.accesses += hits
         stats.hits += hits
         return total_cycles, misses
-
-    def translate_runs(
-        self, trace, start: int, stop: int, asid: int,
-        translator: Translator, state,
-    ) -> Tuple[int, int]:
-        """Run-granular batch translate over ``trace`` positions
-        ``[start, stop)``; returns ``(total_cycles, misses)``.
-
-        Second-generation speed tier (Guo's trace-granularity idea): the
-        structure columns of a :class:`repro.sim.kernel.CompiledTrace`
-        (``prev``/``nxt`` plus block minima; ``ensure_structure`` must
-        cover ``stop``) let whole stretches of guaranteed hits be
-        *proved* and retired in O(run) local arithmetic -- no per-access
-        dict probe -- with the per-access probe of
-        :meth:`translate_slice` only at the positions a fill, eviction,
-        no-fill return, superpage probe or Sec boundary could occur.
-
-        The proof has two halves.  **Threshold**: ``state.threshold`` is
-        a trace position ``T`` such that every page touched at a
-        position ``>= T`` is still resident -- except the pages in the
-        eviction ledger.  Hits only reorder MRU recency, so an access
-        whose ``prev`` is ``>= T`` (and is below every ledger horizon)
-        must hit.  **Ledger**: an ordinary eviction un-residents exactly
-        one page ``V``, so instead of collapsing ``T`` the kernel
-        bisects ``V``'s occurrence list (``trace.occ``) for its next
-        appearance -- a forced miss -- and pushes it onto the min-heap
-        of *next-eviction horizons*; hit-runs extend only below the heap
-        top, and the horizon pops when its probe refills the page.  A
-        page with no occurrence in the structure compiled so far parks
-        in ``open_evicts`` until the trace's new ``boundary_firsts``
-        reveal one.  ``T`` itself moves only for effects the kernel
-        cannot name: an eviction of unknown identity or a superpage
-        eviction (``T`` = the miss position), a no-fill return (``T``
-        moves *past* the miss: the requested page was left non-resident,
-        and the ledger -- whose entries are all below the new ``T`` --
-        is cleared), or an external mutation (``_mutations`` mismatch:
-        the whole proof state restarts at the resume position).
-
-        A maximal provable stretch is a *run*: the kernel bulk-advances
-        the clock, access and hit counters and the cycle total, then
-        settles the LRU timestamp of each page's final touch (identified
-        by ``nxt``; earlier touches are overwritten in the reference
-        too, so only the last is architecturally visible).  The first
-        unprovable access is probed individually; probed hits need no
-        proof update -- their position is ``>= T`` already, extending
-        the provable set for free.
-
-        Statistics, walker counts, replacement state and timing are
-        identical to :meth:`translate_slice` over the same span -- the
-        differential suite and ``python -m repro bench`` enforce it.
-
-        Above both halves sits the *oracle tier*: when a fresh state
-        starts at position 0 against an empty TLB and the design's
-        single-ASID cold-start behaviour is pure LRU
-        (:meth:`_oracle_engage`), the entire hit/miss schedule is a
-        function of the trace alone, precomputed once by
-        :class:`repro.sim.kernel.ReuseOracle` and retired slice-at-a-time
-        by :meth:`_oracle_slice` in O(misses).  Any between-quanta
-        interference -- foreign accesses, mutations, remaps -- fails the
-        resume check and drops the state to the ledger tier permanently.
-        """
-        if len(trace.prev) < stop:
-            trace.ensure_structure(stop)
-        if state.o_active:
-            o_token_fn = getattr(translator, "memo_token", None)
-            if (
-                state.o_pos == start
-                and state.o_asid == asid
-                and state.o_mut == self._mutations
-                and state.o_accesses == self.stats.accesses
-                and state.o_fills == self.stats.fills
-                and o_token_fn is not None
-                and o_token_fn(asid) == state.o_token
-            ):
-                return self._oracle_slice(
-                    trace, start, stop, asid, translator, state
-                )
-            # Something touched the TLB, the counters or the mappings
-            # between quanta: the precomputed schedule no longer applies.
-            # Drop to the ledger tier for good -- its own mutation check
-            # (state.mut is still -1) rebuilds the proof from `start`.
-            state.o_active = False
-            state.o_oracle = None
-            state.o_resident = {}
-            state.o_free = []
-        elif (
-            state.mut == -1
-            and start == 0
-            and self._oracle_engage(trace, asid, translator, state)
-        ):
-            return self._oracle_slice(
-                trace, start, stop, asid, translator, state
-            )
-        prev = trace.prev
-        nxt = trace.nxt
-        vpns = trace.vpns
-        sub_min = trace.sub_min_prev
-        blk_min = trace.blk_min_prev
-        occ = trace.occ
-        bf = trace.boundary_firsts
-        index = self._index
-        stats = self.stats
-        clock = self._clock
-        hit_cycles = self.config.hit_latency
-        clear_buffer = self._NOFILL_BUFFER
-        index_get = index.get
-        heap = state.hheap
-        opens = state.open_evicts
-        #: Per-invocation vpn -> exact level-0 entry memo for the settle
-        #: and probe paths (int-key probes instead of tuple-key ones).
-        #: Sound because nothing mutates the TLB mid-invocation except
-        #: the probed misses themselves, whose action codes say exactly
-        #: what to drop: the named evictee on action 3, everything on an
-        #: unidentified eviction or a no-fill (actions 1/2).
-        cache: Dict[int, TLBEntry] = {}
-        cache_get = cache.get
-        # Cross-quantum walk memo: engaged only for translators that
-        # expose a validity token (real page-table walkers; hierarchy
-        # adapters must re-run every miss for its lower-level effects).
-        token_fn = getattr(translator, "memo_token", None)
-        if token_fn is None:
-            wcache = None
-        else:
-            wcache = state.walk_cache
-            if wcache and token_fn(asid) != state.walk_token:
-                wcache.clear()
-        if state.mut != self._mutations:
-            state.threshold = start
-            if heap:
-                heap.clear()
-            if opens:
-                opens.clear()
-            state.bf_cursor = len(bf)
-        elif state.bf_cursor < len(bf):
-            # Newly structured events may contain the first reappearance
-            # of a page whose eviction is still an open (horizon-less)
-            # ledger entry; convert those to concrete horizons.
-            if opens:
-                for cursor in range(state.bf_cursor, len(bf)):
-                    position = bf[cursor]
-                    if vpns[position] in opens:
-                        del opens[vpns[position]]
-                        heappush(heap, position)
-                        if not opens:
-                            break
-            state.bf_cursor = len(bf)
-        threshold = state.threshold
-        # While T == 0 (no unidentified eviction or no-fill yet -- the
-        # whole lifetime of SA/SP traces and non-secure RF ones) the
-        # positions failing ``prev[m] >= T`` are exactly the true first
-        # occurrences, and those live, sorted, in ``boundary_firsts``:
-        # detection collapses to advancing a cursor instead of scanning
-        # elements.  Entries ``bf`` carries for pages merely new to
-        # *their compile chunk* have a stitched ``prev >= 0`` and are
-        # skipped once, permanently (the cursor only moves forward).
-        use_bf = threshold <= 0
-        bf_len = len(bf)
-        bfd = bisect_left(bf, start) if use_bf else bf_len
-        run_hits = 0
-        probed = 0
-        runs = 0
-        total_cycles = 0
-        misses = 0
-        i = start
-        while i < stop:
-            # -- run detection: the maximal m with prev[i:m] all >= T,
-            # capped at the nearest eviction horizon.
-            hstop = stop
-            if heap and heap[0] < stop:
-                hstop = heap[0]
-            if use_bf:
-                m = hstop
-                while bfd < bf_len:
-                    c = bf[bfd]
-                    if c >= hstop:
-                        break
-                    if c < i or prev[c] >= 0:
-                        bfd += 1
-                    else:
-                        m = c
-                        break
-            else:
-                # General T: aligned whole blocks are cleared with one
-                # precomputed-min read (128 then 16 positions at a
-                # time); only a failing sub-block is scanned
-                # element-wise.
-                m = i
-                while m < hstop:
-                    if (
-                        not m & 127
-                        and m + 128 <= hstop
-                        and blk_min[m >> 7] >= threshold
-                    ):
-                        m += 128
-                    elif (
-                        not m & 15
-                        and m + 16 <= hstop
-                        and sub_min[m >> 4] >= threshold
-                    ):
-                        m += 16
-                    elif prev[m] >= threshold:
-                        m += 1
-                    else:
-                        break
-            if m > i:
-                # -- retire the proven run [i, m) wholesale.
-                count = m - i
-                runs += 1
-                run_hits += count
-                total_cycles += hit_cycles * count
-                if clear_buffer:
-                    self.buffer = None
-                # Settle LRU recency: position j's touch happened at
-                # clock + (j - i + 1); only each page's last touch in
-                # the run survives in the reference, and ascending order
-                # leaves shared superpage entries at their maximum.
-                base = clock - i + 1
-                for j, horizon in enumerate(nxt[i:m], i):
-                    if horizon >= m:
-                        vpn = vpns[j]
-                        entry = cache_get(vpn)
-                        if entry is not None:
-                            entry.last_used = base + j
-                        else:
-                            entry = index_get((vpn, asid, 0))
-                            if (
-                                entry is not None
-                                and entry.valid
-                                and entry.vpn == vpn
-                                and entry.asid == asid
-                            ):
-                                entry.last_used = base + j
-                                cache[vpn] = entry
-                            else:
-                                self._settle_touch(vpn, asid, base + j)
-                clock += count
-                if m >= stop:
-                    break
-            # -- the unprovable access at m: per-access probe.
-            forced = False
-            while heap and heap[0] <= m:
-                if heap[0] == m:
-                    forced = True
-                heappop(heap)
-            probed += 1
-            clock += 1
-            if clear_buffer:
-                self.buffer = None
-            vpn = vpns[m]
-            # A heap-horizon probe is a *guaranteed* miss: the horizon is
-            # the evicted page's next occurrence, so this very access is
-            # its first chance to refill (another ASID's identical vpn
-            # cannot hit, and evictions elsewhere would have reset the
-            # proof via the mutation epoch) -- unless a superpage entry
-            # could cover it, in which case probe properly.
-            if not forced or self._super_entries:
-                entry = cache_get(vpn)
-                if entry is None:
-                    entry = index_get((vpn, asid, 0))
-                    if (
-                        entry is not None
-                        and entry.valid
-                        and entry.vpn == vpn
-                        and entry.asid == asid
-                    ):
-                        cache[vpn] = entry
-                    else:
-                        entry = None
-                if entry is not None:
-                    entry.last_used = clock
-                    total_cycles += hit_cycles
-                    i = m + 1
-                    continue
-                self._clock = clock
-                found = self._find(vpn, asid) if self._super_entries else None
-                if found is not None:
-                    found.last_used = clock
-                    total_cycles += hit_cycles
-                    i = m + 1
-                    continue
-            else:
-                self._clock = clock
-            packed = self._run_miss_fast(vpn, asid, translator, wcache)
-            total_cycles += packed >> 2
-            misses += 1
-            action = packed & 3
-            if action == 3:
-                # A known-identity eviction: another process's entry is
-                # no threat to this trace's proofs, a superpage covers
-                # pages this kernel cannot enumerate (collapse T), and an
-                # ordinary same-process page becomes a ledger horizon at
-                # its next occurrence.
-                if self._evicted_asid == asid:
-                    if self._evicted_level:
-                        threshold = m
-                    else:
-                        chain = occ.get(self._evicted_vpn)
-                        if chain is None:
-                            threshold = m
-                        else:
-                            cursor = bisect_right(chain, m)
-                            if cursor < len(chain):
-                                heappush(heap, chain[cursor])
-                            else:
-                                opens[self._evicted_vpn] = m
-                        if cache:
-                            cache.pop(self._evicted_vpn, None)
-            elif action == 1:
-                threshold = m
-                use_bf = False
-                if cache:
-                    cache.clear()
-            elif action == 2:
-                threshold = m + 1
-                use_bf = False
-                if heap:
-                    heap.clear()
-                if opens:
-                    opens.clear()
-                if cache:
-                    cache.clear()
-            i = m + 1
-        self._clock = clock
-        # Bulk statistics: every retired or probed position is one
-        # access; _run_miss_fast leaves the access/hit/miss counters to
-        # this single settlement (the asid is constant per invocation).
-        accesses = run_hits + probed
-        if accesses:
-            stats.accesses += accesses
-            stats.hits += accesses - misses
-            if misses:
-                stats.misses += misses
-                by_asid = stats.misses_by_asid
-                by_asid[asid] = by_asid.get(asid, 0) + misses
-        state.threshold = threshold
-        state.mut = self._mutations
-        state.run_hits += run_hits
-        state.probed += probed
-        state.runs += runs
-        if token_fn is not None:
-            # Re-snapshot *after* the quantum: our own auto-mapped pages
-            # bumped the version, but mappings only grew, so everything
-            # cached remains exactly what a fresh walk would return.
-            state.walk_token = token_fn(asid)
-        return total_cycles, misses
-
-    def _oracle_universe(self, asid: int):
-        """The (nsets, per-set way lists) an oracle replay for ``asid``
-        would fill into, or None when the design's miss behaviour for
-        this ASID is not plain per-set LRU even from a cold start.
-
-        The base answer covers every design whose single-ASID cold-start
-        miss path degenerates to the SA fill: the whole TLB.  Designs
-        override to narrow the universe (SP: the ASID's partition) or
-        veto engagement (RF: a programmed secure region makes misses
-        take the random-fill paths).
-        """
-        return self._nsets, self._sets
-
-    def _oracle_engage(self, trace, asid: int, translator, state) -> bool:
-        """Try to bind a fresh :class:`~repro.sim.kernel.RunState` to the
-        oracle tier; True when every engagement premise holds.
-
-        The premises make the hit/miss schedule a pure function of the
-        trace: the TLB starts empty (no residency the oracle cannot
-        see), replacement is true LRU, the translator is a real
-        page-table walker (auto-mapping, so no fault can diverge;
-        ``memo_token`` + ``has_superpages`` so remaps and superpage
-        leaves are detectable; ``peek`` + ``full_walk_cycles`` so
-        reconciliation needs no per-miss WalkResult), the ASID's table
-        has never held a superpage, and the design's universe hook
-        grants plain per-set LRU for this ASID.  Engagement is attempted
-        exactly once per state (``state.mut`` leaves -1 after the first
-        ledger quantum); any later premise break fails the resume check
-        instead.
-        """
-        if self._index or self._super_entries or self._sec_resident:
-            return False
-        if type(self._policy) is not LRUPolicy:
-            return False
-        if not getattr(translator, "auto_map", False):
-            return False
-        token_fn = getattr(translator, "memo_token", None)
-        superpages_fn = getattr(translator, "has_superpages", None)
-        if (
-            token_fn is None
-            or superpages_fn is None
-            or getattr(translator, "peek", None) is None
-            or getattr(translator, "full_walk_cycles", None) is None
-        ):
-            return False
-        if superpages_fn(asid):
-            return False
-        universe = self._oracle_universe(asid)
-        if universe is None:
-            return False
-        nsets, way_lists = universe
-        ways = len(way_lists[0]) if way_lists else 0
-        if nsets <= 0 or ways <= 0:
-            return False
-        state.o_active = True
-        state.o_oracle = trace.reuse_oracle(nsets, ways, 0)
-        state.o_cursor = 0
-        state.o_pos = 0
-        state.o_clock0 = self._clock
-        state.o_resident = {}
-        # Reversed so .pop() hands out ways in reference scan order (the
-        # first invalid way fills first) -- not load-bearing for the
-        # architectural state, but it keeps way occupancy bit-identical
-        # to the reference for anyone diffing raw sets.
-        state.o_free = [list(reversed(ws)) for ws in way_lists]
-        state.o_asid = asid
-        state.o_accesses = self.stats.accesses
-        state.o_fills = self.stats.fills
-        state.o_mut = self._mutations
-        state.o_token = token_fn(asid)
-        return True
-
-    def _oracle_slice(
-        self, trace, start: int, stop: int, asid: int, translator, state
-    ) -> Tuple[int, int]:
-        """Retire trace positions ``[start, stop)`` against the reuse
-        oracle's precomputed miss schedule; returns ``(cycles, misses)``.
-
-        The replay costs O(misses in the slice) dict moves plus an
-        O(resident) reconciliation: hits need no work at all (their
-        entire effect is MRU reordering, reconstructed afterwards from
-        the trace's occurrence lists), and a miss is one ``resident``
-        dict move.  Only each page's globally *first* miss runs a real
-        walk -- that is the walk that may auto-map and must allocate the
-        physical frame in first-access order; every later miss of the
-        same page walks an unchanged mapping, so its counter effect
-        (``walks += 1``) and cycle cost (a full radix traversal:
-        superpages are excluded by engagement) are applied in bulk.
-
-        Reconciliation then rewrites the architectural entry state --
-        vpn/ppn/asid/level/Sec, the fast-index keys, and the LRU
-        timestamps ``last_used`` / ``filled_at`` via bisects on the
-        occurrence and miss lists -- so between quanta the TLB is
-        indistinguishable from the reference's, entry for entry.
-        """
-        oracle = state.o_oracle
-        if oracle.limit < stop:
-            oracle.extend(trace, stop)
-        n = stop - start
-        miss_pos = oracle.miss_pos
-        page_misses = oracle.page_misses
-        ka = state.o_cursor
-        kb = bisect_left(miss_pos, stop, ka)
-        k = kb - ka
-        resident = state.o_resident
-        index = self._index
-        first_walks = 0
-        if k:
-            miss_page = oracle.miss_page
-            miss_evict = oracle.miss_evict
-            free = state.o_free
-            nsets = oracle.nsets
-            walk = translator.walk
-            for idx in range(ka, kb):
-                page = miss_page[idx]
-                evicted = miss_evict[idx]
-                if evicted >= 0:
-                    entry = resident.pop(evicted)
-                    # Dropping the key is final only if the page stays
-                    # out: reconciliation re-keys every resident page.
-                    index.pop((evicted, asid, 0), None)
-                else:
-                    entry = free[page % nsets].pop()
-                resident[page] = entry
-                if page_misses[page][0] == miss_pos[idx]:
-                    walk(page, asid)
-                    first_walks += 1
-            translator.walks += k - first_walks
-        # -- reconcile the architectural entry state at the slice edge.
-        occ = trace.occ
-        peek = translator.peek
-        clock0 = state.o_clock0
-        for page, entry in resident.items():
-            chain = occ[page]
-            last = chain[bisect_left(chain, stop) - 1]
-            if last < start:
-                # Untouched this slice: a prior reconciliation already
-                # wrote this entry (and its index key) exactly.
-                continue
-            chain = page_misses[page]
-            filled = chain[bisect_left(chain, stop) - 1]
-            entry.vpn = page
-            entry.ppn = peek(page, asid)
-            entry.asid = asid
-            entry.valid = True
-            entry.level = 0
-            entry.sec = False
-            entry.last_used = clock0 + last + 1
-            entry.filled_at = clock0 + filled + 1
-            index[(page, asid, 0)] = entry
-        stats = self.stats
-        stats.accesses += n
-        stats.hits += n - k
-        if k:
-            stats.misses += k
-            by_asid = stats.misses_by_asid
-            by_asid[asid] = by_asid.get(asid, 0) + k
-            stats.fills += k
-            inv_cum = oracle.inv_cum
-            evictions = k - (inv_cum[kb - 1] - (inv_cum[ka - 1] if ka else 0))
-            if evictions:
-                stats.evictions += evictions
-                self._mutations += evictions
-        self._clock += n
-        if self._NOFILL_BUFFER:
-            self.buffer = None
-        total_cycles = n * self._hit_latency + k * translator.full_walk_cycles
-        state.o_cursor = kb
-        state.o_pos = stop
-        state.o_accesses = stats.accesses
-        state.o_fills = stats.fills
-        state.o_mut = self._mutations
-        # Re-snapshot after our own auto-maps bumped the version.
-        state.o_token = translator.memo_token(asid)
-        state.run_hits += n - k
-        state.probed += k
-        if n > k:
-            state.runs += 1
-        return total_cycles, k
-
-    def _run_miss_fast(
-        self,
-        vpn: int,
-        asid: int,
-        translator: Translator,
-        wcache: Optional[Dict[int, int]] = None,
-    ) -> int:
-        """Handle a probed run-kernel miss; returns ``cycles << 2 | action``.
-
-        The 2-bit action drives the proof update in
-        :meth:`translate_runs`: 0 = filled without evicting (older
-        residency intact), 1 = filled and evicted something the kernel
-        cannot identify, 2 = the requested translation was *not*
-        installed (Random-Fill's no-fill return), 3 = filled and evicted
-        exactly the entry named by ``_evicted_vpn`` / ``_evicted_asid``
-        / ``_evicted_level``.  This base implementation is the
-        always-correct fallback -- it reuses the design's reference
-        :meth:`_handle_miss` and derives the action from the result and
-        the mutation delta; designs override it with allocation-free
-        equivalents.
-
-        Contract: implementations must *not* touch the access/hit/miss
-        counters -- :meth:`translate_runs` settles those in bulk at the
-        end of the invocation (fill/eviction/no-fill counters stay with
-        the code that performs them, exactly as on the reference path).
-        """
-        before = self._mutations
-        result = self._handle_miss(vpn, asid, translator)
-        if not result.filled:
-            return (result.cycles << 2) | 2
-        evicted = result.evicted
-        if evicted is not None:
-            self._evicted_vpn = evicted.vpn
-            self._evicted_asid = evicted.asid
-            self._evicted_level = evicted.level
-            return (result.cycles << 2) | 3
-        return (result.cycles << 2) | (1 if self._mutations != before else 0)
-
-    def _victim_fast(
-        self, candidates: List[TLBEntry], set_key: int = -1
-    ) -> TLBEntry:
-        """Victim choice exactly mirroring ``ReplacementPolicy.select``:
-        the first invalid way wins, else LRU picks the first entry with
-        minimal ``last_used`` (non-LRU policies defer to the policy
-        object so stateful or random policies draw identically to the
-        reference path).
-
-        With a non-negative ``set_key`` (callers whose candidate list is
-        the *persistent* set, keyed ``set_index << 2 | level``) the LRU
-        scan is replaced by an amortised-O(1) pop from a cached sorted
-        order of the whole set.  Each pop re-validates the entry against
-        its recorded ``last_used``: timestamps only ever grow, so an
-        unchanged snapshot proves the entry is still strictly below
-        every other candidate (touched or refilled entries moved up and
-        are skipped; reference-path evictions the queue never saw are
-        caught the same way).  Ties cannot arise -- each access advances
-        the clock and touches one entry.  Invalid ways would have to be
-        preferred, but they appear only via invalidations and flushes,
-        which bump ``_inval_epoch`` and void every cached order; while a
-        set still *contains* invalid ways no order is cached for it.
-        """
-        policy = self._policy
-        if type(policy) is not LRUPolicy:
-            return policy.select(candidates)
-        if set_key >= 0:
-            queue = self._victim_queues.get(set_key)
-            if queue is not None and queue[0] == self._inval_epoch:
-                k = queue[1]
-                n = len(queue)
-                while k < n:
-                    entry = queue[k]
-                    if entry.valid and entry.last_used == queue[k + 1]:
-                        queue[1] = k + 2
-                        return entry
-                    k += 2
-            return self._rebuild_victim_queue(candidates, set_key)
-        victim = None
-        oldest = None
-        for entry in candidates:
-            if not entry.valid:
-                return entry
-            if oldest is None or entry.last_used < oldest:
-                oldest = entry.last_used
-                victim = entry
-        return victim
-
-    def _rebuild_victim_queue(
-        self, candidates: List[TLBEntry], set_key: int
-    ) -> TLBEntry:
-        """Re-sort one set's LRU order and return the current victim.
-
-        Runs once per exhausted or stale queue (amortised over the pops
-        it serves), so it may allocate freely.  Layout: a flat list
-        ``[epoch, cursor, e0, snap0, e1, snap1, ...]`` ascending by
-        ``last_used`` at build time.
-        """
-        for entry in candidates:
-            if not entry.valid:
-                # Reference select prefers invalid ways (warm-up only);
-                # don't cache an order while any remain.
-                self._victim_queues.pop(set_key, None)
-                return entry
-        order = sorted(candidates, key=_BY_LAST_USED)
-        queue = [self._inval_epoch, 4]
-        for entry in order:
-            queue.append(entry)
-            queue.append(entry.last_used)
-        self._victim_queues[set_key] = queue
-        return order[0]
-
-    def _fill_fast(
-        self,
-        victim: TLBEntry,
-        vpn: int,
-        ppn: int,
-        asid: int,
-        sec: bool,
-        level: int,
-    ) -> int:
-        """:meth:`_fill_entry` without the eviction snapshot; returns the
-        run-kernel action code (3 if a valid entry was displaced -- its
-        identity left in the ``_evicted_*`` attributes -- else 0).
-        """
-        stats = self.stats
-        action = 0
-        if victim.valid:
-            stats.evictions += 1
-            self._mutations += 1
-            old_level = victim.level
-            self._index.pop(
-                (victim.vpn >> (9 * old_level), victim.asid, old_level), None
-            )
-            if old_level:
-                self._super_entries -= 1
-            if victim.sec:
-                self._sec_resident -= 1
-            self._evicted_vpn = victim.vpn
-            self._evicted_asid = victim.asid
-            self._evicted_level = old_level
-            action = 3
-        # entry.fill inlined (same stores, level-0 masks are no-ops).
-        if level:
-            mask = (1 << (9 * level)) - 1
-            victim.vpn = vpn & ~mask
-            victim.ppn = ppn & ~mask
-            self._super_entries += 1
-            self._index[(vpn >> (9 * level), asid, level)] = victim
-        else:
-            victim.vpn = vpn
-            victim.ppn = ppn
-            self._index[(vpn, asid, 0)] = victim
-        victim.asid = asid
-        victim.valid = True
-        victim.level = level
-        victim.sec = sec
-        now = self._clock
-        victim.last_used = now
-        victim.filled_at = now
-        if sec:
-            self._sec_resident += 1
-        stats.fills += 1
-        return action
-
-    def _settle_touch(self, vpn: int, asid: int, when: int) -> None:
-        """Record a proven run touch on a superpage-covered page (the
-        level-0 index probe missed); guarded because a fault-injected
-        index can desynchronise -- a lost recency update is the same
-        spurious-miss failure mode the per-access path tolerates."""
-        entry = self._find(vpn, asid)
-        if entry is not None:
-            entry.last_used = when
 
     @abc.abstractmethod
     def _handle_miss(
@@ -1120,18 +385,13 @@ class BaseTLB(abc.ABC):
         evicted = victim.snapshot() if victim.valid else None
         if evicted is not None:
             self.stats.evictions += 1
-            self._mutations += 1
             self._index.pop(victim.index_key(), None)
             if victim.level:
                 self._super_entries -= 1
-            if victim.sec:
-                self._sec_resident -= 1
         victim.fill(vpn, ppn, asid, now=self._clock, sec=sec, level=level)
         self._index[victim.index_key()] = victim
         if level:
             self._super_entries += 1
-        if sec:
-            self._sec_resident += 1
         self.stats.fills += 1
         return evicted
 
@@ -1143,13 +403,9 @@ class BaseTLB(abc.ABC):
         mapping -- exactly the corruption :meth:`audit` exists to catch.
         """
         if entry.valid:
-            self._mutations += 1
-            self._inval_epoch += 1
             self._index.pop(entry.index_key(), None)
             if entry.level:
                 self._super_entries -= 1
-            if entry.sec:
-                self._sec_resident -= 1
         entry.invalidate()
 
     # -- maintenance operations ---------------------------------------------------
@@ -1161,10 +417,6 @@ class BaseTLB(abc.ABC):
                 entry.invalidate()
         self._index.clear()
         self._super_entries = 0
-        self._sec_resident = 0
-        self._mutations += 1
-        self._inval_epoch += 1
-        self._victim_queues.clear()
         self.stats.flushes += 1
 
     def flush_asid(self, asid: int) -> None:
@@ -1173,7 +425,6 @@ class BaseTLB(abc.ABC):
             for entry in tlb_set:
                 if entry.valid and entry.asid == asid:
                     self._invalidate_entry(entry)
-        self._mutations += 1
         self.stats.flushes += 1
 
     def invalidate_page(self, vpn: int, asid: int) -> AccessResult:

@@ -43,14 +43,6 @@ class DynamicPartitionTLB(StaticPartitionTLB):
         old = self.victim_ways
         self.victim_ways = victim_ways
         self.repartitions += 1
-        # Moving the boundary never evicts by itself (hit proofs would
-        # survive), but it is a trusted-OS reconfiguration: break any
-        # active run conservatively rather than reason per-mode.
-        self._mutations += 1
-        # Partition membership changed: rebuild the persistent sublists
-        # and void every cached victim order keyed on the old split.
-        self._inval_epoch += 1
-        self._build_partitions()
         if old == victim_ways or not flush_reassigned:
             return 0
         low, high = sorted((old, victim_ways))

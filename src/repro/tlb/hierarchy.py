@@ -290,21 +290,6 @@ class TLBHierarchy:
             vpns, start, stop, asid, self._adapter_for(translator)
         )
 
-    def translate_runs(self, trace, start, stop, asid, translator, state):
-        """Run-granular batch path (see :meth:`BaseTLB.translate_runs`).
-
-        The run proofs concern only the outermost level: an L1 hit-run
-        never consults the lower levels (exactly like the reference
-        path), so the threshold validates against the L1's mutation
-        epoch, and L1 misses reach L2/L3/the walk through the ordinary
-        adapter chain inside the probed design's ``_run_miss_fast``.
-        External flushes and Sec-region updates propagate to every level
-        -- including the L1, whose epoch they bump.
-        """
-        return self.levels[0].translate_runs(
-            trace, start, stop, asid, self._adapter_for(translator), state
-        )
-
     def flush_all(self) -> None:
         for level in self.levels:
             level.flush_all()

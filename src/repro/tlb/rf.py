@@ -38,7 +38,6 @@ from typing import Optional
 from .base import AccessResult, BaseTLB, Translator
 from .config import TLBConfig
 from .entry import TLBEntry
-from .replacement import LRUPolicy
 
 
 class RandomFillEngine:
@@ -108,10 +107,6 @@ class RandomFillTLB(BaseTLB):
         self.ssize = ssize
         if victim_asid is not None:
             self.victim_asid = victim_asid
-        # Reprogramming the region changes the Sec_D predicate out from
-        # under the run kernel's proofs: conservatively break any active
-        # hit-run (see BaseTLB.translate_runs).
-        self._mutations += 1
 
     def is_secure(self, vpn: int, asid: int) -> bool:
         """The ``Sec_D`` predicate for a request."""
@@ -122,18 +117,6 @@ class RandomFillTLB(BaseTLB):
         )
 
     # -- access handling ----------------------------------------------------------
-
-    def _oracle_universe(self, asid: int):
-        # With no secure region programmed for this ASID, Sec_D is
-        # identically false and -- cold-starting from an empty TLB, so no
-        # Sec-bit entry can ever become resident -- Sec_R too: every miss
-        # takes Figure 3's plain-SA branch and the whole TLB is the fill
-        # universe.  A programmed region vetoes engagement outright (the
-        # random-fill paths are not a function of the trace); programming
-        # one later bumps the mutation epoch, failing the resume check.
-        if self.ssize > 0 and asid == self.victim_asid:
-            return None
-        return self._nsets, self._sets
 
     def translate(self, vpn: int, asid: int, translator: Translator) -> AccessResult:
         self.buffer = None  # The buffer is cleaned after each return.
@@ -176,12 +159,6 @@ class RandomFillTLB(BaseTLB):
         self._random_fill(random_vpn, asid, translator)
 
         # D's translation goes back through the buffer, never into the TLB.
-        # A no-fill is replacement-visible state the run kernel must hear
-        # about even when this miss runs *outside* translate_runs (an
-        # evented quantum interleaved with run-kernel ones): the requested
-        # page was touched yet left non-resident, which breaks the
-        # threshold proof's "touched => resident" invariant.
-        self._mutations += 1
         self.stats.no_fills += 1
         buffered = TLBEntry()
         buffered.fill(vpn, walk.ppn, asid, now=self._clock, sec=sec_d)
@@ -193,120 +170,6 @@ class RandomFillTLB(BaseTLB):
             evicted=None,
             filled=False,
         )
-
-    def _run_miss_fast(
-        self, vpn: int, asid: int, translator: Translator, wcache=None
-    ) -> int:
-        # Design-specific run-safety predicate: with no Sec-bit entry
-        # resident (Sec_R can't be 1) and a non-secure request (Sec_D =
-        # 0), Figure 3 degenerates to the plain SA fill, which the
-        # allocation-free twin handles.  Any secure involvement takes the
-        # reference _handle_miss -- random fills, the no-fill buffer and
-        # both walks of the Sec paths stay implemented exactly once.
-        if self._sec_resident or self.is_secure(vpn, asid):
-            result = self._handle_miss(vpn, asid, translator)
-            if not result.filled:
-                return (result.cycles << 2) | 2
-            evicted = result.evicted
-            if evicted is not None:
-                self._evicted_vpn = evicted.vpn
-                self._evicted_asid = evicted.asid
-                self._evicted_level = evicted.level
-                return (result.cycles << 2) | 3
-            return result.cycles << 2
-        if wcache is not None:
-            packed_walk = wcache.get(vpn, -1)
-            if packed_walk >= 0:
-                translator.walks += 1
-                level = packed_walk & 3
-                cycles = (packed_walk >> 2) & 0x3FFFF
-                ppn = packed_walk >> 20
-            else:
-                walk = translator.walk(vpn, asid)
-                level = walk.level
-                cycles = walk.cycles
-                ppn = walk.ppn
-                if cycles < 1 << 18:
-                    wcache[vpn] = (ppn << 20) | (cycles << 2) | level
-        else:
-            walk = translator.walk(vpn, asid)
-            level = walk.level
-            cycles = walk.cycles
-            ppn = walk.ppn
-        if level:
-            index = (vpn >> (9 * level)) % self._nsets
-        else:
-            index = vpn % self._nsets
-        # Victim choice and fill: _victim_fast's queue pop and _fill_fast,
-        # inlined (once per architectural miss; the frames matter).
-        # Narrow sets scan directly -- intervening hits stale a tiny
-        # queue faster than its pops repay the rebuild sort.
-        candidates = self._sets[index]
-        victim = None
-        if type(self._policy) is LRUPolicy:
-            if len(candidates) <= 8:
-                oldest = None
-                for entry in candidates:
-                    if not entry.valid:
-                        victim = entry
-                        break
-                    lu = entry.last_used
-                    if oldest is None or lu < oldest:
-                        oldest = lu
-                        victim = entry
-            else:
-                set_key = (index << 2) | level
-                queue = self._victim_queues.get(set_key)
-                if queue is not None and queue[0] == self._inval_epoch:
-                    k = queue[1]
-                    n = len(queue)
-                    while k < n:
-                        entry = queue[k]
-                        if entry.valid and entry.last_used == queue[k + 1]:
-                            queue[1] = k + 2
-                            victim = entry
-                            break
-                        k += 2
-                if victim is None:
-                    victim = self._rebuild_victim_queue(candidates, set_key)
-        else:
-            victim = self._policy.select(candidates)
-        tlb_index = self._index
-        action = 0
-        if victim.valid:
-            self.stats.evictions += 1
-            self._mutations += 1
-            old_level = victim.level
-            tlb_index.pop(
-                (victim.vpn >> (9 * old_level), victim.asid, old_level), None
-            )
-            if old_level:
-                self._super_entries -= 1
-            if victim.sec:
-                self._sec_resident -= 1
-            self._evicted_vpn = victim.vpn
-            self._evicted_asid = victim.asid
-            self._evicted_level = old_level
-            action = 3
-        if level:
-            mask = (1 << (9 * level)) - 1
-            victim.vpn = vpn & ~mask
-            victim.ppn = ppn & ~mask
-            self._super_entries += 1
-            tlb_index[(vpn >> (9 * level), asid, level)] = victim
-        else:
-            victim.vpn = vpn
-            victim.ppn = ppn
-            tlb_index[(vpn, asid, 0)] = victim
-        victim.asid = asid
-        victim.valid = True
-        victim.level = level
-        victim.sec = False
-        now = self._clock
-        victim.last_used = now
-        victim.filled_at = now
-        self.stats.fills += 1
-        return ((self._hit_latency + cycles) << 2) | action
 
     def _random_fill(self, vpn: int, asid: int, translator: Translator) -> None:
         """Install the RFE-chosen page ``D'``, evicting its set's LRU ``R'``."""

@@ -15,7 +15,6 @@ rows (TLB Flush + Reload).
 from __future__ import annotations
 
 from .base import AccessResult, BaseTLB, Translator
-from .replacement import LRUPolicy
 
 
 class SetAssociativeTLB(BaseTLB):
@@ -36,109 +35,3 @@ class SetAssociativeTLB(BaseTLB):
             evicted=evicted,
             filled=True,
         )
-
-    def _run_miss_fast(
-        self, vpn: int, asid: int, translator: Translator, wcache=None
-    ) -> int:
-        # Allocation-free twin of _handle_miss: the SA fill always
-        # installs the requested translation, so the action is simply
-        # whether the victim way was valid.  _set_for is inlined, walks
-        # come from the cross-quantum memo when one is engaged (an
-        # architectural walk still happens -- the walker's counter says
-        # so), and access counters are left to translate_runs' bulk
-        # settlement -- this path runs once per miss for every probed
-        # access of the run kernel.
-        if wcache is not None:
-            packed_walk = wcache.get(vpn, -1)
-            if packed_walk >= 0:
-                translator.walks += 1
-                level = packed_walk & 3
-                cycles = (packed_walk >> 2) & 0x3FFFF
-                ppn = packed_walk >> 20
-            else:
-                walk = translator.walk(vpn, asid)
-                level = walk.level
-                cycles = walk.cycles
-                ppn = walk.ppn
-                if cycles < 1 << 18:
-                    wcache[vpn] = (ppn << 20) | (cycles << 2) | level
-        else:
-            walk = translator.walk(vpn, asid)
-            level = walk.level
-            cycles = walk.cycles
-            ppn = walk.ppn
-        if level:
-            index = (vpn >> (9 * level)) % self._nsets
-        else:
-            index = vpn % self._nsets
-        # Victim choice: _victim_fast's queue pop, inlined (this runs
-        # once per architectural miss; the frames matter).  Narrow sets
-        # scan directly -- intervening hits stale a tiny queue faster
-        # than its pops repay the rebuild sort.
-        candidates = self._sets[index]
-        victim = None
-        if type(self._policy) is LRUPolicy:
-            if len(candidates) <= 8:
-                oldest = None
-                for entry in candidates:
-                    if not entry.valid:
-                        victim = entry
-                        break
-                    lu = entry.last_used
-                    if oldest is None or lu < oldest:
-                        oldest = lu
-                        victim = entry
-            else:
-                set_key = (index << 2) | level
-                queue = self._victim_queues.get(set_key)
-                if queue is not None and queue[0] == self._inval_epoch:
-                    k = queue[1]
-                    n = len(queue)
-                    while k < n:
-                        entry = queue[k]
-                        if entry.valid and entry.last_used == queue[k + 1]:
-                            queue[1] = k + 2
-                            victim = entry
-                            break
-                        k += 2
-                if victim is None:
-                    victim = self._rebuild_victim_queue(candidates, set_key)
-        else:
-            victim = self._policy.select(candidates)
-        # Fill: _fill_fast, inlined.
-        tlb_index = self._index
-        action = 0
-        if victim.valid:
-            self.stats.evictions += 1
-            self._mutations += 1
-            old_level = victim.level
-            tlb_index.pop(
-                (victim.vpn >> (9 * old_level), victim.asid, old_level), None
-            )
-            if old_level:
-                self._super_entries -= 1
-            if victim.sec:
-                self._sec_resident -= 1
-            self._evicted_vpn = victim.vpn
-            self._evicted_asid = victim.asid
-            self._evicted_level = old_level
-            action = 3
-        if level:
-            mask = (1 << (9 * level)) - 1
-            victim.vpn = vpn & ~mask
-            victim.ppn = ppn & ~mask
-            self._super_entries += 1
-            tlb_index[(vpn >> (9 * level), asid, level)] = victim
-        else:
-            victim.vpn = vpn
-            victim.ppn = ppn
-            tlb_index[(vpn, asid, 0)] = victim
-        victim.asid = asid
-        victim.valid = True
-        victim.level = level
-        victim.sec = False
-        now = self._clock
-        victim.last_used = now
-        victim.filled_at = now
-        self.stats.fills += 1
-        return ((self._hit_latency + cycles) << 2) | action

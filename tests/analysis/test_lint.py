@@ -218,7 +218,10 @@ class TestCertifiableHierarchy:
 
 class TestAllocationFreeRunKernel:
     def kernel(self, body: str) -> str:
-        return f"def _run_miss_fast(self, vpn, asid, translator):\n{body}"
+        return (
+            "def translate_slice(self, vpns, start, stop, asid, translator):\n"
+            f"{body}"
+        )
 
     def test_result_construction_is_flagged(self):
         source = self.kernel("    return AccessResult(hit=False)\n")
@@ -258,10 +261,6 @@ class TestAllocationFreeRunKernel:
             "    return AccessResult(hit=False)\n"
         )
         assert rules_hit(source) == []
-
-    def test_the_numpy_backend_is_allowed(self):
-        source = self.kernel("    pair = (vpn, asid)\n")
-        assert rules_hit(source, path="repro/sim/kernel_np.py") == []
 
 
 class TestWaivers:

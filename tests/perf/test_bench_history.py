@@ -29,22 +29,12 @@ class TestHistoryEntry:
         entry = history_entry(_report(geomean=3.5))
         assert entry == {
             "geomean_speedup": 3.5,
-            "access_geomean_speedup": None,
             "per_design": {"SA": 3.5},
             "meets_floor": True,
             "quick": True,
             "events": 2000,
-            "structure_backend": None,
             "counters_verified": True,
         }
-
-    def test_entry_records_both_kernels_and_the_backend(self):
-        report = _report(geomean=40.0)
-        report["headline"]["access_geomean_speedup"] = 3.5
-        report["structure_backend"] = "numpy"
-        entry = history_entry(report)
-        assert entry["access_geomean_speedup"] == 3.5
-        assert entry["structure_backend"] == "numpy"
 
 
 class TestWithHistory:

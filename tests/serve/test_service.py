@@ -154,6 +154,7 @@ def test_malformed_specs_return_400(serve_harness):
         ({"experiment": "no-such-experiment"}, "bad-spec"),
         ({}, "bad-spec"),
         ({"experiment": "serve-toy", "options": {"bogus_option": 1}}, "bad-spec"),
+        ({"experiment": "fig7", "options": {"kernel": "access"}}, "bad-spec"),
         ({"experiment": "serve-toy", "priority": 99}, "bad-spec"),
         ({"experiment": "serve-toy", "design": "XX"}, "bad-spec"),
         ({"experiment": "serve-toy", "typo_field": 1}, "bad-spec"),

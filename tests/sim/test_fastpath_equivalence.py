@@ -1,25 +1,24 @@
 """Differential verification of the repro.sim.kernel fast path.
 
 The reference model (``translate`` returning ``AccessResult`` objects) is
-the specification; the fast paths (``translate_fast`` packed ints, the
-batched ``translate_slice``, and the run-granular ``translate_runs``)
-must produce identical hit/miss/cycle counters and identical TLB state
-for every design, including the RF TLB's no-fill buffer path and
-superpage entries (which exercise the level>0 index probes).  Shared
-traces are replayed through all paths on twin instances; any divergence
-is a fast-path bug by definition.
+the specification; the fast paths (``translate_fast`` packed ints and the
+batched ``translate_slice``) must produce identical hit/miss/cycle
+counters and identical TLB state for every design, including the RF
+TLB's no-fill buffer path and superpage entries (which exercise the
+level>0 index probes).  Shared traces are replayed through both paths on
+twin instances; any divergence is a fast-path bug by definition.
 
-The run-kernel cases additionally pin down its *tier* behaviour: the
-reuse-oracle tier must engage on clean replays, refuse prewarmed TLBs /
-Sec regions / superpage tables outright, and hand off to the ledger tier
-(staying bit-equal) when a flush, sfence, Sec-region update, foreign
-process or remap lands between quanta.
+The quantum-chunked cases land perturbations between chunks, exactly
+where the timing model applies them between quanta: sfence, Sec-region
+updates, flushes, foreign processes, remaps, prewarmed TLBs and
+superpage tables.  A generated-schedule property test interleaves two
+ASIDs' slices with maintenance operations.
 """
 
 import random
-from itertools import islice
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mmu import SwitchPolicy, make_walker
 from repro.perf.harness import PerfSettings, Scenario, run_cell
@@ -31,15 +30,12 @@ from repro.security.kinds import (
     make_two_level_tlb,
 )
 from repro.sim.kernel import (
-    STRUCTURE_BACKEND,
     CompiledTrace,
-    RunState,
     pack_result,
     packed_cycles,
     packed_filled,
     packed_hit,
     supports_fastpath,
-    supports_runpath,
 )
 from repro.sim.system import MemorySystem
 from repro.tlb.config import TLBConfig
@@ -79,7 +75,7 @@ def replay_both(reference, fast, trace):
 
 DESIGNS = [TLBKind.SA, TLBKind.SP, TLBKind.RF]
 
-# The run-kernel differential cases replay this many povray accesses in
+# The chunked differential cases replay this many povray accesses in
 # quantum-sized chunks (perturbations land between chunks, exactly where
 # the timing model would apply them between quanta).
 RUN_COUNT = 20_000
@@ -90,7 +86,6 @@ RUN_STEP = 2_048
 def povray_trace():
     trace = CompiledTrace(by_name("povray").events(random.Random(11)))
     assert trace.ensure(RUN_COUNT) >= RUN_COUNT
-    trace.ensure_structure(RUN_COUNT)
     return trace
 
 
@@ -115,23 +110,22 @@ def entry_state(tlb):
 
 def three_way(build, trace, asid, count=RUN_COUNT, step=RUN_STEP,
               perturb=None, prewarm=None, extras=None):
-    """Replay ``[0, count)`` through reference / access / run legs.
+    """Replay ``[0, count)`` per access through ``translate`` (the
+    reference) and ``translate_fast``, and per chunk through the access
+    kernel ``translate_slice``.
 
     Each leg constructs its own TLB via ``build`` and its own walker;
     ``perturb(tlb, walker, pos)`` fires after every chunk boundary on all
     three legs identically.  Asserts statistics, cycles, misses, walker
     counters, entry state (and any ``extras(tlb)`` observables) are equal
-    across the legs, then returns the run leg's :class:`RunState` so
-    callers can assert on tier engagement.
+    across the legs, and returns the reference leg's TLB statistics.
     """
     summaries = []
-    run_state = None
-    for mode in ("reference", "access", "run"):
+    for mode in ("reference", "fast", "access"):
         tlb = build()
         walker = make_walker()
         if prewarm is not None:
             prewarm(tlb, walker)
-        state = RunState()
         cycles = misses = 0
         vpns = trace.vpns
         for begin in range(0, count, step):
@@ -142,35 +136,28 @@ def three_way(build, trace, asid, count=RUN_COUNT, step=RUN_STEP,
                     result = translate(vpns[index], asid, walker)
                     cycles += result.cycles
                     misses += 0 if result.hit else 1
-            elif mode == "access":
+            elif mode == "fast":
+                translate_fast = tlb.translate_fast
+                for index in range(begin, end):
+                    packed = translate_fast(vpns[index], asid, walker)
+                    cycles += packed_cycles(packed)
+                    misses += 0 if packed_hit(packed) else 1
+            else:
                 got_cycles, got_misses = tlb.translate_slice(
                     vpns, begin, end, asid, walker
                 )
                 cycles += got_cycles
                 misses += got_misses
-            else:
-                got_cycles, got_misses = tlb.translate_runs(
-                    trace, begin, end, asid, walker, state
-                )
-                cycles += got_cycles
-                misses += got_misses
             if perturb is not None:
                 perturb(tlb, walker, end)
-        if mode == "run":
-            run_state = state
         assert tlb.audit() == []
         summaries.append((
             tlb.stats, cycles, misses, walker.walks, walker.faults,
             entry_state(tlb), extras(tlb) if extras is not None else None,
         ))
-    assert summaries[0] == summaries[1], "access kernel diverged"
-    assert summaries[0] == summaries[2], "run kernel diverged"
-    return run_state
-
-
-def oracle_engaged(state):
-    """Whether the run kernel's reuse-oracle tier ever retired a slice."""
-    return state.o_active or state.o_pos > 0
+    assert summaries[0] == summaries[1], "translate_fast diverged"
+    assert summaries[0] == summaries[2], "access kernel diverged"
+    return summaries[0][0]
 
 
 class TestPackedEncoding:
@@ -201,22 +188,6 @@ class TestSupportsFastpath:
 
     def test_duck_typing(self):
         assert not supports_fastpath(object())
-
-
-class TestSupportsRunpath:
-    def test_all_designs_support_it(self):
-        for kind in DESIGNS:
-            assert supports_runpath(make_case(kind))
-
-    def test_hierarchies_support_it(self):
-        tlb = make_two_level_tlb(
-            TLBKind.RF, TLBKind.SA,
-            TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
-        )
-        assert supports_runpath(tlb)
-
-    def test_duck_typing(self):
-        assert not supports_runpath(object())
 
 
 class TestPerAccessEquivalence:
@@ -316,25 +287,23 @@ class TestSliceEquivalence:
 
 
 class TestRunEquivalence:
-    """Three-way reference / access-kernel / run-kernel differentials."""
+    """Quantum-chunked reference / translate_fast / access-kernel
+    differentials, with perturbations landing between chunks."""
 
     @pytest.mark.parametrize("kind", DESIGNS)
     def test_three_way_counters_match(self, kind, povray_trace):
-        state = three_way(lambda: make_case(kind), povray_trace, asid=2)
-        # Every access is either proven inside a run or probed; the run
-        # tier actually did the heavy lifting.
-        assert state.run_hits + state.probed == RUN_COUNT
-        assert state.run_hits > state.probed
+        stats = three_way(lambda: make_case(kind), povray_trace, asid=2)
+        assert stats.accesses == RUN_COUNT
+        assert stats.evictions > 0  # The replay churns the TLB.
 
     def test_sp_victim_partition(self, povray_trace):
-        state = three_way(
-            lambda: make_case(TLBKind.SP), povray_trace, asid=1
-        )
-        assert state.run_hits > 0
+        """The victim's fills stay inside its own partition."""
+        stats = three_way(lambda: make_case(TLBKind.SP), povray_trace, asid=1)
+        assert stats.evictions > 0
 
     def test_rf_secure_region_no_fill_runs(self, povray_trace):
-        """A programmed Sec region forces the trace-independent random
-        paths; the run kernel must stay bit-equal with no_fills > 0."""
+        """A programmed Sec region takes the random-fill and no-fill
+        buffer paths; the access kernel must stay bit-equal."""
         def build():
             tlb = make_case(TLBKind.RF)
             tlb.set_secure_region(
@@ -342,20 +311,12 @@ class TestRunEquivalence:
             )
             return tlb
 
-        no_fills = three_way(
-            build, povray_trace, asid=1,
-            extras=lambda tlb: tlb.stats.no_fills,
-        )
-        reference = build()
-        walker = make_walker()
-        for index in range(RUN_COUNT):
-            reference.translate(int(povray_trace.vpns[index]), 1, walker)
-        assert reference.stats.no_fills > 0
-        assert no_fills is not None  # The run leg completed.
+        stats = three_way(build, povray_trace, asid=1)
+        assert stats.no_fills > 0
+        assert stats.random_fills > 0
 
     def test_mid_run_sfence_breaks_active_run(self, povray_trace):
-        """An sfence.vma between quanta invalidates the cross-quantum
-        proof; the kernel must revalidate and stay equal."""
+        """An sfence.vma of a hot page between quanta."""
         target = int(povray_trace.vpns[0])
 
         def sfence(tlb, walker, pos):
@@ -363,40 +324,40 @@ class TestRunEquivalence:
                 tlb.invalidate_page(target, 2)
                 walker.invalidate_memo(asid=2, vpn=target)
 
-        three_way(
+        stats = three_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             perturb=sfence,
         )
+        assert stats.invalidation_hits == 2
 
     def test_mid_run_secure_region_breaks_active_run(self, povray_trace):
-        """Programming the Sec region mid-trace must disengage the oracle
-        (random fills are trace-independent) yet remain bit-equal."""
+        """Programming the Sec region mid-trace switches later misses to
+        the random-fill paths."""
         target = int(povray_trace.vpns[0])
 
         def program(tlb, walker, pos):
             if pos == RUN_STEP * 2:
                 tlb.set_secure_region(target, 0x40, victim_asid=2)
 
-        state = three_way(
+        stats = three_way(
             lambda: make_case(TLBKind.RF), povray_trace, asid=2,
             perturb=program,
         )
-        assert oracle_engaged(state)  # It did engage before the update.
-        assert not state.o_active  # ...and is no longer in oracle mode.
+        assert stats.no_fills > 0
 
     def test_mid_run_flush_all(self, povray_trace):
         def flush(tlb, walker, pos):
             if pos == RUN_STEP * 4:
                 tlb.flush_all()
 
-        three_way(
+        stats = three_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             perturb=flush,
         )
+        assert stats.flushes == 1
 
     def test_foreign_process_between_quanta(self, povray_trace):
-        """Another process's evictions between quanta move the shared
-        counters; the resume check must catch it."""
+        """Another process's evictions between quanta."""
         def foreign(tlb, walker, pos):
             if pos == RUN_STEP * 2:
                 for vpn in range(900_000, 900_040):
@@ -409,7 +370,7 @@ class TestRunEquivalence:
 
     def test_remap_between_quanta(self, povray_trace):
         """A page remap (mapping-version bump + sfence) between quanta:
-        the walk memo and the proof state must both revalidate."""
+        the walker's memo must not serve the stale translation."""
         target = int(povray_trace.vpns[0])
 
         def remap(tlb, walker, pos):
@@ -423,68 +384,111 @@ class TestRunEquivalence:
             perturb=remap,
         )
 
-
-class TestRunKernelOracleTier:
-    """Engage / refuse / hand-off behaviour of the reuse-oracle tier."""
-
-    @pytest.mark.parametrize("kind", DESIGNS)
-    def test_engages_on_clean_replay(self, kind, povray_trace):
-        state = three_way(lambda: make_case(kind), povray_trace, asid=2)
-        assert oracle_engaged(state)
-        assert state.o_active  # Still engaged at trace end.
-
-    def test_refuses_prewarmed_tlb(self, povray_trace):
-        """The oracle models a cold LRU array; a non-empty TLB at first
-        engagement must be refused (the ledger tier takes over)."""
+    def test_prewarmed_tlb(self, povray_trace):
+        """Replay into a TLB another process already filled."""
         def prewarm(tlb, walker):
             for vpn in range(700_000, 700_008):
                 tlb.translate(vpn, 2, walker)
 
-        state = three_way(
+        three_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             prewarm=prewarm,
         )
-        assert not oracle_engaged(state)
 
-    def test_refuses_programmed_secure_region(self, povray_trace):
-        def build():
-            tlb = make_case(TLBKind.RF)
-            tlb.set_secure_region(
-                int(povray_trace.vpns[0]), 16, victim_asid=2
-            )
-            return tlb
-
-        state = three_way(build, povray_trace, asid=2)
-        assert not oracle_engaged(state)
-
-    def test_refuses_superpage_table(self, povray_trace):
-        """A superpage mapping makes fills non-uniform; refused."""
+    def test_superpage_table(self, povray_trace):
+        """A superpage mapping in the replayed address space."""
         def prewarm(tlb, walker):
             walker.table_for(2).map_page(1 << 18, 1 << 18, level=1)
+            tlb.translate((1 << 18) + 3, 2, walker)
 
-        state = three_way(
+        three_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             prewarm=prewarm,
         )
-        assert not oracle_engaged(state)
 
-    def test_hands_off_to_ledger_after_flush(self, povray_trace):
-        def flush(tlb, walker, pos):
-            if pos == RUN_STEP * 4:
-                tlb.flush_all()
 
-        state = three_way(
-            lambda: make_case(TLBKind.SA), povray_trace, asid=2,
-            perturb=flush,
+#: Bounded so the generated-schedule test costs a few seconds in CI and
+#: replays the same examples on every run.
+SCHEDULE_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: One schedule step: a slice of one ASID's accesses (pages drawn from a
+#: range several times the TLB's 32 entries, so fills evict), or a
+#: maintenance operation between slices.
+SCHEDULE_STEP = st.one_of(
+    st.tuples(
+        st.just("slice"),
+        st.sampled_from((1, 2)),
+        st.lists(st.integers(0, 95), min_size=1, max_size=60),
+    ),
+    st.tuples(st.just("sfence"), st.sampled_from((1, 2)), st.integers(0, 95)),
+    st.tuples(st.just("flush_asid"), st.sampled_from((1, 2))),
+    st.tuples(
+        st.just("set_secure_region"),
+        st.integers(0, 95),
+        st.integers(0, 16),
+    ),
+)
+
+
+class TestGeneratedSchedules:
+    """Two ASIDs' slices interleaved with sfence / flush_asid /
+    set_secure_region, replayed per access through ``translate`` and
+    per slice through ``translate_slice``."""
+
+    @staticmethod
+    def replay(kind, schedule, batched):
+        tlb = make_case(kind)
+        walker = make_walker()
+        cycles = misses = 0
+        for step in schedule:
+            op = step[0]
+            if op == "slice":
+                _, asid, pages = step
+                vpns = [0x100 + page for page in pages]
+                if batched:
+                    got_cycles, got_misses = tlb.translate_slice(
+                        vpns, 0, len(vpns), asid, walker
+                    )
+                    cycles += got_cycles
+                    misses += got_misses
+                else:
+                    for vpn in vpns:
+                        result = tlb.translate(vpn, asid, walker)
+                        cycles += result.cycles
+                        misses += 0 if result.hit else 1
+            elif op == "sfence":
+                _, asid, page = step
+                tlb.invalidate_page(0x100 + page, asid)
+                walker.invalidate_memo(asid=asid, vpn=0x100 + page)
+            elif op == "flush_asid":
+                tlb.flush_asid(step[1])
+            elif kind is TLBKind.RF:
+                _, base, size = step
+                tlb.set_secure_region(0x100 + base, size, victim_asid=1)
+        assert tlb.audit() == []
+        buffer = getattr(tlb, "buffer", None)
+        buffered = None if buffer is None else (buffer.vpn, buffer.asid)
+        return (
+            tlb.stats, cycles, misses, walker.walks, entry_state(tlb),
+            buffered,
         )
-        assert oracle_engaged(state)  # Engaged up to the flush...
-        assert not state.o_active  # ...then permanently handed off.
-        assert state.run_hits > 0  # And the ledger tier still ran runs.
+
+    @pytest.mark.parametrize("kind", DESIGNS)
+    @SCHEDULE_SETTINGS
+    @given(schedule=st.lists(SCHEDULE_STEP, min_size=1, max_size=30))
+    def test_slices_match_reference(self, kind, schedule):
+        reference = self.replay(kind, schedule, batched=False)
+        assert self.replay(kind, schedule, batched=True) == reference
 
 
 class TestHierarchyRunEquivalence:
-    """The run kernel over multi-level hierarchies: the L1 proof engine
-    with L2/PWC side effects flowing through the adapter chain."""
+    """The access kernel over multi-level hierarchies: the L1 probe with
+    L2/PWC side effects flowing through the adapter chain."""
 
     def test_rf_sa_two_level(self, povray_trace):
         def build():
@@ -519,23 +523,6 @@ class TestHierarchyRunEquivalence:
             )
 
         three_way(build, povray_trace, asid=2, extras=extras)
-
-    def test_hierarchy_walk_cache_never_engages(self, povray_trace):
-        """Level adapters have walk side effects (L2/PWC fills), so the
-        cross-quantum walk memo must refuse to cache through them."""
-        tlb = make_two_level_tlb(
-            TLBKind.SA, TLBKind.SA,
-            TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
-        )
-        walker = make_walker()
-        state = RunState()
-        for begin in range(0, RUN_COUNT, RUN_STEP):
-            tlb.translate_runs(
-                povray_trace, begin, min(begin + RUN_STEP, RUN_COUNT),
-                2, walker, state,
-            )
-        assert not state.walk_cache
-        assert not oracle_engaged(state)
 
 
 class TestMemorySystemFastPath:
@@ -615,98 +602,6 @@ class TestSimulateEquivalence:
                 ),
             )
         assert cells[True].results == cells[False].results
-
-
-class TestSimulateKernelAxis:
-    """Whole timing-model runs across the kernel axis: the reference
-    path, the access kernel and the run kernel must be result-identical."""
-
-    VARIANTS = ((False, "run"), (True, "access"), (True, "run"))
-
-    @pytest.mark.parametrize("kind", DESIGNS)
-    def test_single_process_identical(self, kind):
-        results = []
-        for fastpath, kernel in self.VARIANTS:
-            tlb = make_case(kind)
-            results.append(simulate(
-                tlb,
-                [ScheduledProcess(workload=by_name("povray"), asid=1,
-                                  instructions=40_000)],
-                quantum=1_000,
-                fastpath=fastpath,
-                kernel=kernel,
-            ))
-        assert results[0] == results[1] == results[2]
-
-    @pytest.mark.parametrize(
-        "policy", [SwitchPolicy.KEEP, SwitchPolicy.FLUSH_ALL]
-    )
-    def test_multiprogrammed_identical(self, policy):
-        results = []
-        for fastpath, kernel in self.VARIANTS:
-            tlb = make_case(TLBKind.SA)
-            results.append(simulate(
-                tlb,
-                [
-                    ScheduledProcess(workload=by_name("povray"), asid=1,
-                                     instructions=30_000),
-                    ScheduledProcess(workload=by_name("omnetpp"), asid=2,
-                                     instructions=30_000),
-                ],
-                quantum=2_000,
-                switch_policy=policy,
-                fastpath=fastpath,
-                kernel=kernel,
-            ))
-        assert results[0] == results[1] == results[2]
-
-    def test_figure7_cell_identical(self):
-        cells = []
-        for fastpath, kernel in self.VARIANTS:
-            cells.append(run_cell(
-                TLBKind.RF,
-                "4W 32",
-                Scenario(secure=True, spec=by_name("omnetpp")),
-                rsa_runs=3,
-                settings=PerfSettings(
-                    spec_instructions=20_000, key_bits=64,
-                    fastpath=fastpath, kernel=kernel,
-                ),
-            ).results)
-        assert cells[0] == cells[1] == cells[2]
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            simulate(
-                make_case(TLBKind.SA),
-                [ScheduledProcess(workload=by_name("povray"), asid=1,
-                                  instructions=1_000)],
-                kernel="turbo",
-            )
-
-
-class TestStructureBackends:
-    """The numpy structure pre-pass must match the pure-Python one."""
-
-    def test_backends_agree_column_for_column(self):
-        if STRUCTURE_BACKEND != "numpy":
-            pytest.skip("numpy backend unavailable in this environment")
-        events = list(islice(by_name("povray").events(random.Random(3)),
-                             6_000))
-        fast, pure = CompiledTrace(events), CompiledTrace(events)
-        limit = fast.ensure(6_000)
-        assert pure.ensure(6_000) == limit
-        fast.ensure_structure(limit)  # Dispatches to repro.sim.kernel_np.
-        pure._extend_structure(0, limit)  # The pure-Python pre-pass.
-        pure._extend_minima(limit)
-        assert list(fast.prev) == list(pure.prev)
-        assert list(fast.nxt) == list(pure.nxt)
-        assert list(fast.boundary_firsts) == list(pure.boundary_firsts)
-        assert list(fast.sub_min_prev) == list(pure.sub_min_prev)
-        assert list(fast.blk_min_prev) == list(pure.blk_min_prev)
-        assert set(fast.occ) == set(pure.occ)
-        for vpn, chain in pure.occ.items():
-            assert list(fast.occ[vpn]) == list(chain)
 
 
 class TestCompiledTrace:
