@@ -62,6 +62,10 @@ over Python ASTs:
     The miss it hands to the design's ``_handle_miss`` is outside the
     guarded set: a miss walks the page table anyway.
 
+``one-persistence-layer``
+    Renames and appends (``O_APPEND``, append-mode ``open``, ``os.replace``,
+    ``os.rename``, one-argument ``.replace``/``.rename``) only in ``repro.persist``.
+
 A finding can be waived on its own line with a trailing
 ``# invariant: allow <rule-name>`` comment.
 """
@@ -562,6 +566,36 @@ class AllocationFreeRunKernel(Rule):
                 )
 
 
+def _is_append_mode(node: ast.AST) -> bool:
+    mode = node.value if isinstance(node, ast.Constant) else None
+    return isinstance(mode, str) and "a" in mode and set(mode) <= set("rwxabt+")
+
+
+class OnePersistenceLayer(Rule):
+    name = "one-persistence-layer"
+    description = (
+        "renames and appends happen only in repro.persist (use atomic_write,"
+        " write_sealed or append_jsonl)"
+    )
+    allowed_files = ("repro/persist.py",)
+
+    def check(self, tree: ast.Module, relpath: str) -> Iterator[LintFinding]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "O_APPEND":
+                yield self.finding(node, relpath, "O_APPEND outside repro.persist")
+            if not isinstance(node, ast.Call):
+                continue
+            func, name = node.func, _call_name(node)
+            method = isinstance(func, ast.Attribute)
+            on_os = method and isinstance(func.value, ast.Name) and func.value.id == "os"
+            one_arg = method and len(node.args) == 1 and not node.keywords
+            modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+            if (name in ("replace", "rename") and (on_os or one_arg)) or (
+                name == "open" and any(_is_append_mode(mode) for mode in modes)
+            ):
+                yield self.finding(node, relpath, f"{name}() outside repro.persist")
+
+
 #: Rule registry, in reporting order.
 LINT_RULES: Tuple[Rule, ...] = (
     FacadeTLBConstruction(),
@@ -572,6 +606,7 @@ LINT_RULES: Tuple[Rule, ...] = (
     NoSnapshotMutation(),
     CertifiableHierarchy(),
     AllocationFreeRunKernel(),
+    OnePersistenceLayer(),
 )
 
 

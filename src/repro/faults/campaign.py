@@ -339,10 +339,10 @@ def run_runner_campaign(
 
         if kind == "torn-cache":
             # Populate the cache, tear one entry mid-write, rerun: the
-            # checksum/atomic-read path must spot the torn file, recompute
+            # sealed blob's checksum must reject the torn file, recompute
             # the cell, and still converge to the reference artifacts.
             run_all(results_dir=results_dir, cache_dir=cache_dir, **common)
-            torn = sorted(Path(cache_dir).rglob("*.pkl"))
+            torn = sorted(Path(cache_dir).rglob("*.sealed"))
             if torn:
                 victim = torn[len(torn) // 2]
                 blob = victim.read_bytes()

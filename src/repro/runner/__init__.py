@@ -31,7 +31,6 @@ from .api import default_jobs, run_all
 from .backoff import JITTER_FRACTION, backoff_delay
 from .cache import (
     DEFAULT_CACHE_DIR,
-    CacheStats,
     ResultCache,
     code_fingerprint,
     unit_cache_key,
@@ -79,7 +78,6 @@ __all__ = [
     "ARTIFACT_SOURCES",
     "AsyncInProcessExecutor",
     "Board",
-    "CacheStats",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_OPTIONS",
     "Executor",

@@ -7,20 +7,19 @@ the cache; changing a parameter, a seed, or any line of code under
 ``src/repro`` misses and recomputes.
 
 Values are arbitrary picklable result objects (the same objects the serial
-path produces), stored one file per cell under ``<root>/<aa>/<hash>.pkl``
-next to a small JSON sidecar of provenance metadata for inspection.
+path produces), pickled into one :mod:`repro.persist` sealed blob per cell,
+``<root>/<aa>/<hash>.sealed``, with the cell's provenance in its header.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import os
 import pickle
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Tuple
+
+from repro.persist import BlobStats
 
 from .registry import Unit
 
@@ -70,55 +69,6 @@ def unit_cache_key(unit: Unit, code_version: str) -> str:
     return hashlib.sha256(identity.encode()).hexdigest()
 
 
-#: Per-process staging-name counter; see :func:`_atomic_write`.
-_tmp_serial = itertools.count()
-
-
-def _atomic_write(path: Path, data: Union[bytes, str]) -> None:
-    """Write-then-rename so concurrent readers and writers never collide.
-
-    The staging name embeds the PID and a per-process serial: parallel
-    writers racing on the same key (two workers recomputing one cell, two
-    ``run-all`` invocations sharing a cache) each stage privately and the
-    last rename wins whole, instead of interleaving writes into one shared
-    ``.tmp`` file.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_tmp_serial)}.tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    tmp.replace(path)
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Entries found on disk but unreadable (torn/corrupt); treated as
-    #: misses and repaired by the next store.
-    corrupt: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """Queryable counter snapshot (run-all summaries, /v1/metrics)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
 class ResultCache:
     """The on-disk result store (see module docstring)."""
 
@@ -131,52 +81,31 @@ class ResultCache:
         self.code_version = (
             code_version if code_version is not None else code_fingerprint()
         )
-        self.stats = CacheStats()
+        self.stats = BlobStats()
 
     def _path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / key[:2] / f"{key}.sealed"
 
     def get(self, unit: Unit) -> Tuple[bool, Any]:
         """Look one cell up; returns ``(hit, value)``."""
         path = self._path_for(unit_cache_key(unit, self.code_version))
-        if path.is_file():
-            try:
-                with path.open("rb") as handle:
-                    record = pickle.load(handle)
-                value = record["value"]
-            except Exception:
-                # A truncated or unreadable entry (e.g. a crashed writer)
-                # is treated as a miss and overwritten on the next store.
-                self.stats.corrupt += 1
-            else:
-                self.stats.hits += 1
-                return True, value
-        self.stats.misses += 1
-        return False, None
+        entry = self.stats.read(path, decode=pickle.loads)
+        if entry is None:
+            return False, None
+        return True, entry.payload
 
     def put(self, unit: Unit, value: Any, elapsed: float = 0.0) -> None:
         key = unit_cache_key(unit, self.code_version)
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
+        provenance = {
             "experiment": unit.experiment,
             "key": unit.key,
             "params": dict(unit.params),
             "seed": unit.seed,
             "code_version": self.code_version,
             "elapsed": elapsed,
-            "value": value,
         }
-        _atomic_write(
-            path, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        self.stats.write(
+            self._path_for(key),
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+            provenance,
         )
-        sidecar = {
-            k: record[k]
-            for k in ("experiment", "key", "params", "seed", "code_version",
-                      "elapsed")
-        }
-        _atomic_write(
-            path.with_suffix(".json"),
-            json.dumps(sidecar, sort_keys=True, default=str) + "\n",
-        )
-        self.stats.stores += 1

@@ -25,17 +25,17 @@ coordination happens exclusively through atomic filesystem operations in
     the ``not_before`` time gating the next claim.  This journal is the
     quarantine evidence: a poison cell's full cross-worker history goes
     into ``failed_cells.json`` verbatim.
-``results/<cell>.pkl``
-    The sealed outcome: a pickled record carrying the
-    :class:`~repro.runner.scheduler.ResultEnvelope` blob + SHA-256 plus
-    the producing worker and code fingerprint.  The parent refuses any
-    result whose digest, cell id, or code fingerprint does not match --
-    tampered, torn, or stale results are deleted and re-executed, never
-    served.
+``results/<cell>.sealed``
+    The outcome: a :mod:`repro.persist` sealed blob of the worker's
+    :class:`~repro.runner.scheduler.ResultEnvelope`, under the envelope's
+    own SHA-256, with the cell id, worker and code fingerprint in its
+    header.  The parent refuses any result whose digest, cell id, or code
+    fingerprint does not match -- tampered, torn, or stale results are
+    deleted and re-executed, never served.
 ``workers/<worker>.json`` / ``journal/<worker>.jsonl``
     Worker presence heartbeats (the parent's degraded-mode signal) and
     per-worker event journals, read with the torn-tail-tolerant
-    :func:`repro.sim.read_jsonl`.
+    :func:`repro.persist.read_jsonl`.
 
 Retry pacing is the shared :func:`~repro.runner.backoff.backoff_delay`
 (exponential + CRC32-deterministic jitter), so every host computes the
@@ -60,17 +60,20 @@ import pickle
 import platform
 import time
 import traceback
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults.chaos import ExecutorChaosConfig
+from repro.persist import CorruptBlob, TornRecordError, append_jsonl, atomic_write
+from repro.persist import read_jsonl, read_sealed, write_sealed
 
 from .backoff import backoff_delay
-from .cache import _atomic_write, code_fingerprint, unit_cache_key
+from .cache import code_fingerprint, unit_cache_key
 from .progress import ProgressPrinter, RunLog
 from .registry import Unit, ensure_default_experiments, get_experiment
-from .scheduler import Executor, IntegrityError, ResultEnvelope, TaskOutcome
+from .scheduler import Executor, ResultEnvelope, TaskOutcome
 
 #: Board directory name inside the shared cache directory.
 BOARD_DIR = "board"
@@ -80,41 +83,6 @@ BOARD_DIR = "board"
 #: attribute caching still has comfortable margins; override per run.
 DEFAULT_LEASE_TTL = 10.0
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
-
-
-def _append_jsonl(path: Path, record: Mapping[str, Any]) -> None:
-    """Append one JSONL record with a single O_APPEND write.
-
-    Multiple workers append to the same attempt journal concurrently; a
-    single ``os.write`` of one line keeps records whole under POSIX
-    append semantics (and a torn tail from a killed writer is exactly
-    what :func:`repro.sim.read_jsonl` tolerates).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=False, default=str) + "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line.encode("utf-8"))
-    finally:
-        os.close(fd)
-
-
-def _read_jsonl_quiet(path: Path) -> List[Dict[str, Any]]:
-    """Torn-tail-tolerant JSONL read; missing file reads as empty."""
-    import warnings
-
-    from repro.sim import read_jsonl
-
-    if not path.is_file():
-        return []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return read_jsonl(path)
-        except ValueError:
-            # Interior corruption: surface as "no usable history" rather
-            # than wedging the protocol; the cell simply retries.
-            return []
 
 
 def default_worker_id() -> str:
@@ -154,9 +122,9 @@ class Lease:
 class Board:
     """The shared coordination directory (see module docstring).
 
-    Every mutation is either an ``O_EXCL`` create, an atomic
-    write-then-rename, a rename, or a single appended line -- no
-    operation can be observed half-done by another host.
+    Every mutation is an ``O_EXCL`` create, a rename, or a
+    :mod:`repro.persist` write -- no operation can be observed half-done
+    by another host.
     """
 
     def __init__(self, cache_dir: Path | str) -> None:
@@ -192,7 +160,7 @@ class Board:
             },
         }
         task.update(config)
-        _atomic_write(
+        atomic_write(
             self.tasks / f"{cell}.json",
             json.dumps(task, sort_keys=True, default=str) + "\n",
         )
@@ -224,7 +192,7 @@ class Board:
         for path in (
             self.tasks / f"{cell}.json",
             self.leases / f"{cell}.json",
-            self.results / f"{cell}.pkl",
+            self.results / f"{cell}.sealed",
             self.attempts / f"{cell}.jsonl",
             self.quarantine / f"{cell}.json",
         ):
@@ -270,7 +238,7 @@ class Board:
         path = self.lease_path(cell)
         payload = json.dumps(lease.to_dict(), sort_keys=True) + "\n"
         if force:
-            _atomic_write(path, payload)
+            atomic_write(path, payload)
             return lease
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
@@ -300,7 +268,7 @@ class Board:
             attempt=current.attempt,
             claimed_at=current.claimed_at,
         )
-        _atomic_write(
+        atomic_write(
             self.lease_path(cell),
             json.dumps(refreshed.to_dict(), sort_keys=True) + "\n",
         )
@@ -337,7 +305,7 @@ class Board:
             f"{cell}.reclaim.{reclaimer}.{os.getpid()}.{self._reclaim_serial}"
         )
         try:
-            os.rename(self.lease_path(cell), takeover)
+            os.rename(self.lease_path(cell), takeover)  # invariant: allow one-persistence-layer (lease protocol)
         except OSError:
             return None  # another reclaimer won
         # Re-read the moved lease: it may have been renewed between our
@@ -375,16 +343,26 @@ class Board:
 
     # -- attempt history ---------------------------------------------------------
 
+    @staticmethod
+    def _history(path: Path) -> List[Dict[str, Any]]:
+        """A board journal; missing or corrupt is "no history" (the cell retries)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # torn tails are routine; counted elsewhere
+            try:
+                return read_jsonl(path)
+            except (OSError, TornRecordError):
+                return []
+
     def attempt_records(self, cell: str) -> List[Dict[str, Any]]:
-        return _read_jsonl_quiet(self.attempts / f"{cell}.jsonl")
+        return self._history(self.attempts / f"{cell}.jsonl")
 
     def record_attempt(self, cell: str, record: Mapping[str, Any]) -> None:
-        _append_jsonl(self.attempts / f"{cell}.jsonl", record)
+        append_jsonl(self.attempts / f"{cell}.jsonl", record)
 
     # -- results -----------------------------------------------------------------
 
     def result_path(self, cell: str) -> Path:
-        return self.results / f"{cell}.pkl"
+        return self.results / f"{cell}.sealed"
 
     def write_result(
         self,
@@ -395,33 +373,28 @@ class Board:
         elapsed: float,
         code_version: str,
     ) -> None:
-        record = {
+        header = {
             "cell": cell,
             "ident": ident,
             "worker": worker,
             "code_version": code_version,
-            "sha256": envelope.sha256,
-            "blob": envelope.blob,
             "elapsed": elapsed,
         }
-        _atomic_write(
-            self.result_path(cell),
-            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
+        write_sealed(
+            self.result_path(cell), envelope.blob, header,
+            digest=envelope.sha256,
         )
 
     def read_result(self, cell: str) -> Optional[Dict[str, Any]]:
-        """Load one result record; unreadable bytes read as ``None``."""
-        path = self.result_path(cell)
-        if not path.is_file():
-            return None
+        """The verified header fields plus ``blob``; a corrupt file reads as
+        ``{"cell": cell, "corrupt": reason}``, a missing one as ``None``."""
         try:
-            with path.open("rb") as handle:
-                record = pickle.load(handle)
-        except Exception:
-            return {"cell": cell, "unreadable": True}
-        if not isinstance(record, dict):
-            return {"cell": cell, "unreadable": True}
-        return record
+            sealed = read_sealed(self.result_path(cell))
+        except CorruptBlob as error:
+            return {"cell": cell, "corrupt": str(error)}
+        if sealed is None:
+            return None
+        return {**sealed.header, "blob": sealed.payload}
 
     def drop_result(self, cell: str) -> None:
         try:
@@ -432,7 +405,7 @@ class Board:
     # -- quarantine --------------------------------------------------------------
 
     def quarantine_cell(self, cell: str, payload: Mapping[str, Any]) -> None:
-        _atomic_write(
+        atomic_write(
             self.quarantine / f"{cell}.json",
             json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
         )
@@ -443,7 +416,7 @@ class Board:
     # -- worker presence + journals ----------------------------------------------
 
     def worker_heartbeat(self, worker: str) -> None:
-        _atomic_write(
+        atomic_write(
             self.workers / f"{worker}.json",
             json.dumps(
                 {
@@ -471,16 +444,16 @@ class Board:
     def journal(self, worker: str, event: str, **fields: Any) -> None:
         record: Dict[str, Any] = {"event": event, "time": time.time()}
         record.update(fields)
-        _append_jsonl(self.journals / f"{worker}.jsonl", record)
+        append_jsonl(self.journals / f"{worker}.jsonl", record)
 
     def journal_events(self, worker: str) -> List[Dict[str, Any]]:
-        return _read_jsonl_quiet(self.journals / f"{worker}.jsonl")
+        return self._history(self.journals / f"{worker}.jsonl")
 
     def stop_requested(self) -> bool:
         return self.stop_path.is_file()
 
     def request_stop(self) -> None:
-        _atomic_write(self.stop_path, "stop\n")
+        atomic_write(self.stop_path, "stop\n")
 
     def clear_stop(self) -> None:
         try:
@@ -998,8 +971,8 @@ class WorkStealingExecutor(Executor):
         """Verify one board result record; corrupt records are re-queued."""
         cell = pending.cell
         reject: Optional[str] = None
-        if record.get("unreadable"):
-            reject = "unreadable result record (torn or truncated write)"
+        if record.get("corrupt"):
+            reject = f"result record failed verification: {record['corrupt']}"
         elif record.get("cell") != cell:
             reject = "result record names a different cell"
         elif record.get("code_version") != self.code_version:
@@ -1007,14 +980,12 @@ class WorkStealingExecutor(Executor):
                 "result computed under a different code fingerprint"
             )
         else:
+            # read_result already verified the blob against its digest.
             envelope = ResultEnvelope(
-                blob=record.get("blob", b""),
-                sha256=str(record.get("sha256", "")),
+                blob=record["blob"], sha256=str(record["sha256"])
             )
             try:
-                value = envelope.open()
-            except IntegrityError:
-                reject = "result payload failed its integrity check"
+                value = pickle.loads(envelope.blob)
             except Exception:
                 reject = "result payload failed to deserialize"
         if reject is not None:
@@ -1163,19 +1134,13 @@ class WorkStealingExecutor(Executor):
         absorbed: this count reaches the run report and the chaos matrix.
         """
         for path in self.board.journals.glob("*.jsonl"):
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                continue
-            if not raw:
-                continue
-            if not raw.endswith(b"\n"):
-                self.torn_journals += 1
-                continue
-            last = raw.rstrip(b"\n").rsplit(b"\n", 1)[-1]
-            try:
-                json.loads(last)
-            except ValueError:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    read_jsonl(path)
+                except (OSError, TornRecordError):
+                    continue
+            if caught:
                 self.torn_journals += 1
 
     # -- the drain loop ----------------------------------------------------------

@@ -26,14 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional
 
-from repro.sim.observers import JsonlWriter
+from repro.persist import JsonlWriter, read_jsonl
 
 
 class RunLog:
     """Append-only JSONL event log (no-op when constructed with ``None``).
 
-    Serialization is delegated to :class:`repro.sim.JsonlWriter`, the same
-    writer behind the event tracer, so both logs share one JSONL dialect.
+    Serialization is delegated to :class:`repro.persist.JsonlWriter`, the
+    writer behind every JSONL log, so all logs share one dialect.
     """
 
     def __init__(self, path: Optional[Path | str]) -> None:
@@ -60,12 +60,10 @@ def replay_run_log(path: Path | str) -> List[Dict[str, Any]]:
 
     Used by ``run-all`` to report what an interrupted campaign already
     completed before resuming it from the result cache.  Delegates to
-    :func:`repro.sim.read_jsonl`, so a log torn mid-record by a kill is
+    :func:`repro.persist.read_jsonl`, so a log torn mid-record by a kill is
     replayed up to its last whole event.  Returns ``[]`` for a missing
     log.
     """
-    from repro.sim import read_jsonl
-
     path = Path(path)
     if not path.is_file():
         return []

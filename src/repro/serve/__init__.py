@@ -39,7 +39,7 @@ from .jobs import (
 )
 from .metrics import ServiceMetrics
 from .quotas import QuotaRegistry, TokenBucket
-from .store import DEFAULT_STORE_DIR, ResultStore, StoreStats, is_content_hash
+from .store import DEFAULT_STORE_DIR, ResultStore, is_content_hash
 
 __all__ = [
     "DEFAULT_STATE_DIR",
@@ -51,7 +51,6 @@ __all__ = [
     "ResultStore",
     "ServeApp",
     "ServiceMetrics",
-    "StoreStats",
     "TokenBucket",
     "canonical_payload",
     "is_content_hash",

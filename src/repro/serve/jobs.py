@@ -23,7 +23,7 @@ code that produced them).  The hash is the dedup key at every layer:
 Each job appends its lifecycle to a JSONL telemetry log (the runner's
 ``unit_done`` schema, written by :class:`~repro.runner.progress.RunLog`);
 the status endpoint streams per-cell progress by re-reading that file
-through the torn-tail-tolerant :func:`repro.sim.read_jsonl`, so a poll
+through the torn-tail-tolerant :func:`repro.persist.read_jsonl`, so a poll
 racing a write still sees every whole event.
 """
 
@@ -48,6 +48,7 @@ from typing import (
     Union,
 )
 
+from repro.persist import append_jsonl, read_jsonl, rewrite_jsonl
 from repro.runner.cache import ResultCache, code_fingerprint
 from repro.runner.experiments import DEFAULT_OPTIONS
 from repro.runner.progress import RunLog
@@ -342,8 +343,6 @@ class Job:
         }
         recent: List[Dict[str, Any]] = []
         if self.log_path is not None and self.log_path.is_file():
-            from repro.sim import read_jsonl
-
             unit_events = [
                 event for event in read_jsonl(self.log_path)
                 if event.get("event") == "unit_done"
@@ -449,11 +448,7 @@ class JobManager:
     def _journal(self, event: str, **fields: Any) -> None:
         if self.journal_path is None:
             return
-        self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.journal_path.open("a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps({"event": event, **fields}, sort_keys=True) + "\n"
-            )
+        append_jsonl(self.journal_path, {"event": event, **fields})
 
     @staticmethod
     def _journal_spec(spec: JobSpec) -> Dict[str, Any]:
@@ -479,8 +474,6 @@ class JobManager:
         """
         if self.journal_path is None or not self.journal_path.is_file():
             return 0
-        from repro.sim import read_jsonl
-
         pending: Dict[str, Dict[str, Any]] = {}
         for event in read_jsonl(self.journal_path):
             if event.get("event") == "job_queued":
@@ -491,7 +484,7 @@ class JobManager:
                 pending.pop(str(event.get("content_hash", "")), None)
 
         resumed = 0
-        survivors: List[str] = []
+        survivors: List[Dict[str, Any]] = []
         for journaled_hash, raw in pending.items():
             try:
                 spec = JobSpec(
@@ -508,25 +501,18 @@ class JobManager:
                 resumed += 1
                 self.metrics.jobs_resumed += 1
                 survivors.append(
-                    json.dumps(
-                        {
-                            "event": "job_queued",
-                            "content_hash": job.content_hash,
-                            "spec": self._journal_spec(spec),
-                        },
-                        sort_keys=True,
-                    )
+                    {
+                        "event": "job_queued",
+                        "content_hash": job.content_hash,
+                        "spec": self._journal_spec(spec),
+                    }
                 )
             # "cached": the result reached the store before the kill --
             # already answered, nothing survives.  "deduped": attached to
             # a job resubmitted earlier in this loop, which is the
             # surviving record.
 
-        tmp = self.journal_path.with_name(self.journal_path.name + ".tmp")
-        tmp.write_text(
-            "".join(line + "\n" for line in survivors), encoding="utf-8"
-        )
-        tmp.replace(self.journal_path)
+        rewrite_jsonl(self.journal_path, survivors)
         return resumed
 
     # -- lifecycle -----------------------------------------------------------------

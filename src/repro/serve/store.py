@@ -6,25 +6,21 @@ a million identical queries cost one simulation: the first run writes
 the document, every later submission -- today or after a restart -- is
 answered from disk byte-for-byte.
 
-Each entry is two files under ``<root>/<aa>/``: ``<hash>.json`` holds
-the exact canonical payload bytes, ``<hash>.sha256`` the hex digest of
-those bytes.  The digest is the integrity envelope: :meth:`ResultStore.get`
-re-hashes the payload on every read and treats a mismatch (torn write,
-bit rot, manual tampering) as a miss, counting it as corrupt -- the
-service never serves bytes it cannot vouch for.  Writes go through the
-runner cache's atomic write-then-rename, so concurrent jobs racing on
-one hash each land whole.
+Each entry is one :mod:`repro.persist` sealed blob,
+``<root>/<aa>/<hash>.sealed``, whose payload is the exact canonical
+document bytes.  Its digest is the integrity envelope: every read
+re-hashes the payload and treats a mismatch (torn write, bit rot,
+tampering) as a miss, counting it as corrupt -- the service never
+serves bytes it cannot vouch for.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.runner.cache import _atomic_write
+from repro.persist import BlobStats
 
 #: Default store location, relative to the working directory.
 DEFAULT_STORE_DIR = ".repro-serve/results"
@@ -37,64 +33,25 @@ def is_content_hash(value: str) -> bool:
     return bool(_HASH_RE.match(value))
 
 
-@dataclass
-class StoreStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Entries whose payload no longer matched their digest on read.
-    corrupt: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-        }
-
-
 class ResultStore:
     """On-disk result documents by content hash (see module docstring)."""
 
     def __init__(self, root: Union[Path, str] = DEFAULT_STORE_DIR) -> None:
         self.root = Path(root)
-        self.stats = StoreStats()
+        self.stats = BlobStats()
 
-    def _payload_path(self, content_hash: str) -> Path:
-        return self.root / content_hash[:2] / f"{content_hash}.json"
-
-    def _digest_path(self, content_hash: str) -> Path:
-        return self.root / content_hash[:2] / f"{content_hash}.sha256"
+    def _path(self, content_hash: str) -> Path:
+        return self.root / content_hash[:2] / f"{content_hash}.sealed"
 
     def get(self, content_hash: str) -> Optional[Tuple[bytes, str]]:
-        """Look a document up; returns ``(payload_bytes, sha256)`` or None.
-
-        The payload is verified against its stored digest on every read;
-        a mismatch counts as corrupt and reads as a miss, so the next
-        finished job repairs the entry.
-        """
-        payload_path = self._payload_path(content_hash)
-        digest_path = self._digest_path(content_hash)
-        try:
-            payload = payload_path.read_bytes()
-            digest = digest_path.read_text().strip()
-        except OSError:
-            self.stats.misses += 1
+        """The verified ``(payload_bytes, sha256)``, or None on a miss."""
+        entry = self.stats.read(self._path(content_hash))
+        if entry is None:
             return None
-        if hashlib.sha256(payload).hexdigest() != digest:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return payload, digest
+        return entry.payload, entry.header["sha256"]
 
     def put(self, content_hash: str, payload: bytes) -> str:
         """Store canonical payload bytes; returns their hex digest."""
-        digest = hashlib.sha256(payload).hexdigest()
-        payload_path = self._payload_path(content_hash)
-        payload_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(payload_path, payload)
-        _atomic_write(self._digest_path(content_hash), digest + "\n")
-        self.stats.stores += 1
-        return digest
+        return self.stats.write(
+            self._path(content_hash), payload, {"content_hash": content_hash}
+        )

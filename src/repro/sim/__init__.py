@@ -45,13 +45,9 @@ from .kernel import (
     packed_hit,
     supports_fastpath,
 )
-from .observers import (
-    JsonlWriter,
-    StatsObserver,
-    TornRecordError,
-    TraceObserver,
-    read_jsonl,
-)
+from repro.persist import JsonlWriter, TornRecordError, read_jsonl
+
+from .observers import StatsObserver, TraceObserver
 from .probe import ProbeOutcome, SetProber, pages_for_set
 from .system import MemorySystem
 from .trace import SCENARIOS, TraceReport, read_trace, run_scenario

@@ -1,9 +1,5 @@
-"""Observers over the event bus, and the JSONL writer/reader they share.
+"""Observers over the event bus.
 
-* :class:`JsonlWriter` -- a tiny append-only JSON-Lines writer, shared with
-  the runner's telemetry log (:class:`repro.runner.progress.RunLog`).
-* :func:`read_jsonl` -- the matching reader; tolerates the torn trailing
-  line a crashed or killed writer leaves behind.
 * :class:`TraceObserver` -- serializes every bus event as one JSONL record
   (``python -m repro trace`` builds on it).
 * :class:`StatsObserver` -- cheap aggregate counters (per event type and
@@ -12,11 +8,11 @@
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Dict, Union
+
+from repro.persist import JsonlWriter
 
 from .events import (
     AccessEvent,
@@ -29,88 +25,6 @@ from .events import (
     RefillEvent,
     WalkEvent,
 )
-
-
-class JsonlWriter:
-    """Append-only JSON-Lines output over a path or an open text handle.
-
-    Records are written with ``sort_keys=False`` (insertion order) and
-    ``default=str``, one object per line, flushed per record so partial
-    logs of crashed runs stay readable.
-    """
-
-    def __init__(self, target: Union[str, Path, IO[str]]) -> None:
-        if hasattr(target, "write"):
-            self._handle: Optional[IO[str]] = target
-            self._owns_handle = False
-        else:
-            path = Path(target)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = path.open("w")
-            self._owns_handle = True
-
-    def write(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            raise ValueError("writer is closed")
-        self._handle.write(json.dumps(record, sort_keys=False, default=str))
-        self._handle.write("\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None and self._owns_handle:
-            self._handle.close()
-        self._handle = None
-
-
-class TornRecordError(ValueError):
-    """A JSONL line that is not valid JSON, away from the file's tail."""
-
-    def __init__(self, path: str, line_number: int, line: str) -> None:
-        super().__init__(
-            f"{path}:{line_number}: unparseable JSONL record {line[:80]!r}"
-        )
-        self.path = path
-        self.line_number = line_number
-
-
-def read_jsonl(source: Union[str, Path, IO[str]]) -> List[Dict[str, Any]]:
-    """Read a JSON-Lines file, tolerating a torn trailing record.
-
-    A process killed mid-:meth:`JsonlWriter.write` (worker crash, SIGKILL,
-    power loss) leaves a truncated final line.  Such a tail is expected
-    debris, not corruption: it is skipped with a :class:`UserWarning` so
-    run logs and event traces of interrupted runs stay replayable.  An
-    unparseable record anywhere *before* the tail still raises
-    :class:`TornRecordError` -- that is real corruption, and silently
-    dropping interior records would misrepresent the run.
-    """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-        name = getattr(source, "name", "<stream>")
-    else:
-        lines = Path(source).read_text().splitlines()
-        name = str(source)
-    records: List[Dict[str, Any]] = []
-    pending_error: Optional[TornRecordError] = None
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if pending_error is not None:
-            raise pending_error
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            # Defer: only an error on the *last* non-empty line is a torn
-            # tail; anything after it upgrades this to corruption.
-            pending_error = TornRecordError(name, line_number, line)
-    if pending_error is not None:
-        warnings.warn(
-            f"skipping torn trailing JSONL record at {pending_error.path}:"
-            f"{pending_error.line_number} (interrupted writer?)",
-            UserWarning,
-            stacklevel=2,
-        )
-    return records
 
 
 class TraceObserver:

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, List, Optional, Union
 
+from repro.persist import read_jsonl
+
 from .events import EventBus
-from .observers import StatsObserver, TraceObserver, read_jsonl
+from .observers import StatsObserver, TraceObserver
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,55 @@ class TestAllocationFreeRunKernel:
         assert rules_hit(source) == []
 
 
+class TestOnePersistenceLayer:
+    def test_o_append_descriptors_are_flagged(self):
+        source = "fd = os.open(path, os.O_WRONLY | os.O_APPEND)\n"
+        assert rules_hit(source) == ["one-persistence-layer"]
+
+    def test_append_mode_opens_are_flagged(self):
+        for source in (
+            "handle = open(path, 'a')\n",
+            "handle = open(path, mode='ab')\n",
+            "handle = path.open('a', encoding='utf-8')\n",
+            "handle = path.open(mode='a+')\n",
+        ):
+            assert rules_hit(source) == ["one-persistence-layer"], source
+
+    def test_renames_are_flagged(self):
+        for source in (
+            "os.replace(staging, path)\n",
+            "os.rename(staging, path)\n",
+            "staging.replace(path)\n",
+            "staging.rename(path)\n",
+        ):
+            assert rules_hit(source) == ["one-persistence-layer"], source
+
+    def test_reads_writes_and_string_replace_are_fine(self):
+        source = (
+            "handle = open(path)\n"
+            "other = open(path, 'wb')\n"
+            "text = path.open('r').read()\n"
+            "name = text.replace('_', ' ')\n"
+            "spec = dataclasses.replace(spec, ways=4)\n"
+            "flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL\n"
+        )
+        assert rules_hit(source) == []
+
+    def test_the_persistence_module_is_allowed(self):
+        source = (
+            "fd = os.open(path, os.O_WRONLY | os.O_APPEND)\n"
+            "os.replace(staging, path)\n"
+        )
+        assert rules_hit(source, path="repro/persist.py") == []
+
+    def test_the_lease_reclaim_rename_is_waived(self):
+        source = (
+            "os.rename(lease, takeover)"
+            "  # invariant: allow one-persistence-layer\n"
+        )
+        assert rules_hit(source, path="repro/runner/distributed.py") == []
+
+
 class TestWaivers:
     def test_a_matching_waiver_suppresses_the_finding(self):
         source = (
@@ -290,6 +339,7 @@ class TestRunLint:
             "no-snapshot-mutation",
             "certifiable-hierarchy",
             "allocation-free-run-kernel",
+            "one-persistence-layer",
         ]
 
     def test_the_shipped_tree_is_clean(self):

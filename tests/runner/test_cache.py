@@ -1,5 +1,6 @@
 """Tests for the content-addressed result cache."""
 
+from repro.persist import read_sealed
 from repro.runner import ResultCache, Unit, unit_cache_key
 
 
@@ -65,14 +66,18 @@ class TestStore:
         unit = make_unit()
         cache.put(unit, "value")
         key = unit_cache_key(unit, "v1")
-        (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"not a pickle")
+        (tmp_path / key[:2] / f"{key}.sealed").write_bytes(b"not a pickle")
         hit, _ = cache.get(unit)
         assert not hit
+        assert cache.stats.corrupt == 1
 
     def test_sidecar_written(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
         unit = make_unit()
         cache.put(unit, "value")
         key = unit_cache_key(unit, "v1")
-        sidecar = (tmp_path / key[:2] / f"{key}.json").read_text()
-        assert '"experiment": "table4"' in sidecar
+        header = read_sealed(tmp_path / key[:2] / f"{key}.sealed").header
+        assert header["experiment"] == "table4"
+        assert header["key"] == unit.key
+        assert header["code_version"] == "v1"
+        assert list(tmp_path.rglob("*.json")) == []  # no sidecar any more

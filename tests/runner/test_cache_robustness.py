@@ -1,7 +1,8 @@
-"""Cache robustness: torn entries are misses, writes are atomic."""
+"""Cache robustness: torn or flipped entries are misses, writes are atomic."""
 
 import pickle
 
+from repro.persist import read_sealed
 from repro.runner import ResultCache, Unit, unit_cache_key
 
 
@@ -18,7 +19,7 @@ def make_unit(**overrides):
 
 def entry_path(cache_dir, unit, version="v1"):
     key = unit_cache_key(unit, version)
-    return cache_dir / key[:2] / f"{key}.pkl"
+    return cache_dir / key[:2] / f"{key}.sealed"
 
 
 class TestTornEntries:
@@ -50,6 +51,31 @@ class TestTornEntries:
         assert not hit
         assert cache.stats.corrupt == 1
 
+    def test_bit_flip_in_the_value_is_a_miss_not_a_wrong_hit(self, tmp_path):
+        # One flipped bit inside the pickled int still unpickles -- to a
+        # different number.  Only the digest can tell.
+        cache = ResultCache(tmp_path, code_version="v1")
+        unit = make_unit()
+        cache.put(unit, {"capacity_bits": 12345})
+        path = entry_path(tmp_path, unit)
+        raw = bytearray(path.read_bytes())
+        packed = (12345).to_bytes(2, "little")
+        offset = raw.rindex(packed)
+        raw[offset] ^= 0x01  # 12345 -> 12344
+        path.write_bytes(bytes(raw))
+        payload = path.read_bytes().partition(b"\n")[2]
+        assert pickle.loads(payload) == {"capacity_bits": 12344}
+
+        hit, value = cache.get(unit)
+        assert (hit, value) == (False, None)
+        assert cache.stats.corrupt == 1
+        assert cache.stats.misses == 1
+
+        # The next store repairs the entry in place.
+        cache.put(unit, {"capacity_bits": 12345})
+        assert cache.get(unit) == (True, {"capacity_bits": 12345})
+        assert cache.stats.corrupt == 1
+
 
 class TestAtomicWrites:
     def test_no_staging_debris_after_puts(self, tmp_path):
@@ -57,13 +83,14 @@ class TestAtomicWrites:
         for index in range(5):
             cache.put(make_unit(key=f"SA/{index}"), index)
         assert list(tmp_path.rglob("*.tmp*")) == []
-        assert len(list(tmp_path.rglob("*.pkl"))) == 5
-        assert len(list(tmp_path.rglob("*.json"))) == 5
+        # One sealed file per entry, no sidecars.
+        assert len(list(tmp_path.rglob("*.sealed"))) == 5
+        assert len(list(tmp_path.rglob("*.*"))) == 5
 
     def test_entry_is_a_whole_pickle(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
         unit = make_unit()
         cache.put(unit, {"nested": [1, 2, 3]})
-        record = pickle.loads(entry_path(tmp_path, unit).read_bytes())
-        assert record["value"] == {"nested": [1, 2, 3]}
-        assert record["code_version"] == "v1"
+        entry = read_sealed(entry_path(tmp_path, unit))
+        assert pickle.loads(entry.payload) == {"nested": [1, 2, 3]}
+        assert entry.header["code_version"] == "v1"

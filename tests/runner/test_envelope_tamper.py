@@ -1,18 +1,18 @@
 """Tampered results are rejected and re-executed -- never served.
 
 The acceptance path for a work-stealing result has three integrity
-gates: the pickled board record must parse (truncation), the envelope's
-SHA-256 must match its blob (bit flips), and the record's code
-fingerprint must match the orchestrator's (stale or foreign code).
+gates: the sealed board file must verify -- its header must parse and
+the worker's SHA-256 must match the blob (truncation, bit flips) -- and
+the header's cell id and code fingerprint must match the orchestrator's
+(misfiled, stale or foreign results).
 Each test plants one kind of forged record on the board before the run
 and asserts the orchestrator (a) counts the rejection, (b) re-executes
 the cell, and (c) hands back only the honest value.
 """
 
-import pickle
-
 import pytest
 
+from repro.persist import write_sealed
 from repro.runner.cache import unit_cache_key
 from repro.runner.distributed import Board, WorkStealingExecutor
 from repro.runner.registry import REGISTRY, Experiment, register
@@ -121,20 +121,15 @@ class TestTamperedResultsNeverServed:
 
     def test_record_naming_another_cell_rejected(self, tmp_path, toy):
         def plant(board, cell, unit, code_version):
-            record = {
+            header = {
                 "cell": "some-other-cell",
                 "ident": unit.ident,
                 "worker": "mallory",
                 "code_version": code_version,
+                "elapsed": 0.0,
             }
             envelope = ResultEnvelope.seal({"honest": "no"})
-            record["sha256"] = envelope.sha256
-            record["blob"] = envelope.blob
-            record["elapsed"] = 0.0
-            board.result_path(cell).parent.mkdir(
-                parents=True, exist_ok=True
-            )
-            board.result_path(cell).write_bytes(pickle.dumps(record))
+            write_sealed(board.result_path(cell), envelope.blob, header)
 
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant

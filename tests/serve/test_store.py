@@ -24,7 +24,7 @@ def test_put_get_roundtrip(tmp_path):
     assert digest == hashlib.sha256(payload).hexdigest()
     assert store.get(_hash("job")) == (payload, digest)
     assert store.stats.as_dict() == {
-        "hits": 1, "misses": 0, "stores": 1, "corrupt": 0
+        "hits": 1, "misses": 0, "stores": 1, "corrupt": 0, "hit_rate": 1.0
     }
 
 
@@ -38,8 +38,10 @@ def test_tampered_payload_reads_as_corrupt_miss(tmp_path):
     store = ResultStore(tmp_path / "results")
     content_hash = _hash("job")
     store.put(content_hash, b"honest bytes\n")
-    victim = store._payload_path(content_hash)
-    victim.write_bytes(b"tampered bytes\n")
+    victim = store._path(content_hash)
+    header, _, payload = victim.read_bytes().partition(b"\n")
+    assert payload == b"honest bytes\n"
+    victim.write_bytes(header + b"\n" + b"tampered bytes\n")
 
     assert store.get(content_hash) is None
     assert store.stats.corrupt == 1
