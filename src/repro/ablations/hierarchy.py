@@ -31,18 +31,16 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.isa import CPU, ExecutionStatus, assemble
 from repro.mmu import make_walker
 from repro.model.capacity import ChannelEstimate
 from repro.model.patterns import Vulnerability
 from repro.model.table2 import table2_vulnerabilities
-from repro.security.benchgen import BenchmarkLayout, generate
-from repro.security.kinds import TLBKind, make_hierarchy, make_two_level_tlb
+from repro.security.evaluate import SecurityEvaluator
+from repro.security.kinds import TLBKind, make_hierarchy
 from repro.tlb import TLBConfig
-from repro.tlb.hierarchy import TwoLevelTLB
-from repro.tlb.spec import HierarchySpec, LevelSpec, PWCSpec
+from repro.tlb.spec import HierarchySpec, LevelSpec, PWCSpec, SpecLike, coerce_spec
 
 #: The evaluated L1 and L2 organizations (an L2 is larger and slower).
 L1_CONFIG = TLBConfig(entries=32, ways=8, hit_latency=1)
@@ -68,20 +66,6 @@ class HierarchyResult:
             for vulnerability, estimate in self.estimates.items()
             if not estimate.defends()
         ]
-
-
-def _make_hierarchy(
-    l1_kind: TLBKind, l2_kind: TLBKind, rng: random.Random
-) -> TwoLevelTLB:
-    layout = BenchmarkLayout()
-    return make_two_level_tlb(
-        l1_kind,
-        l2_kind,
-        L1_CONFIG,
-        L2_CONFIG,
-        victim_asid=layout.victim_pid,
-        rng=rng,
-    )
 
 
 def hierarchy_cells(
@@ -113,28 +97,15 @@ def evaluate_hierarchy_cell(
     :meth:`repro.security.evaluate.SecurityEvaluator.evaluate_vulnerability`)
     so cells are order-independent and shard cleanly.
     """
-    layout = BenchmarkLayout(nsets=L2_CONFIG.sets, nways=L2_CONFIG.ways)
+    spec = HierarchySpec.two_level(
+        l1_kind.value, l2_kind.value, L1_CONFIG, L2_CONFIG
+    )
     label = (
         f"{seed}/{l1_kind.value}/{l2_kind.value}/{vulnerability.pretty()}"
     )
     rng = random.Random(zlib.crc32(label.encode()))
-    programs = {
-        mapped: assemble(generate(vulnerability, layout, mapped=mapped))
-        for mapped in (True, False)
-    }
-    misses = {True: 0, False: 0}
-    for mapped in (True, False):
-        for _ in range(trials):
-            tlb = _make_hierarchy(l1_kind, l2_kind, rng)
-            cpu = CPU(tlb=tlb, translator=make_walker())
-            cpu.load(programs[mapped])
-            outcome = cpu.run()
-            if outcome.status is ExecutionStatus.PASSED:
-                misses[mapped] += 1
-    return ChannelEstimate(
-        misses_mapped=misses[True],
-        misses_unmapped=misses[False],
-        trials_per_behaviour=trials,
+    return SecurityEvaluator().estimate_channel(
+        vulnerability, spec, rng, trials
     )
 
 
@@ -198,17 +169,6 @@ SWEEP_L1_KINDS = ("SA", "SP", "RF")
 #: the same matrix.
 SWEEP_L2_KINDS = ("SA", "SP", "RF", None)
 
-#: A spec or its plain-dict form (the shape runner cells carry).
-SpecLike = Union[HierarchySpec, Mapping[str, Any]]
-
-
-def coerce_spec(spec: SpecLike) -> HierarchySpec:
-    """Accept a spec or its :meth:`HierarchySpec.to_dict` form."""
-    if isinstance(spec, HierarchySpec):
-        return spec
-    return HierarchySpec.from_dict(spec)
-
-
 def sweep_specs() -> List[HierarchySpec]:
     """The 24 sweep designs: L1 x L2 (incl. none) x PWC on/off."""
     specs = []
@@ -247,34 +207,16 @@ def evaluate_sweep_cell(
 ) -> ChannelEstimate:
     """Run one Table 2 row against one sweep design (a pure cell).
 
-    Benchmarks are generated for the *last* level's geometry -- the level
-    whose misses the walk counter exposes -- and the RNG is derived from
-    the cell's own label, so cells are order-independent and shard
-    cleanly across runner workers.
+    Benchmarks target the last level's geometry
+    (:func:`repro.security.benchgen.layout_for_spec`), and the RNG is
+    derived from the cell's own label, so cells are order-independent
+    and shard cleanly across runner workers.
     """
     spec = coerce_spec(spec)
-    last = spec.levels[-1]
-    layout = BenchmarkLayout(nsets=last.config().sets, nways=last.ways)
     label = f"{seed}/{spec.label()}/{vulnerability.pretty()}"
     rng = random.Random(zlib.crc32(label.encode()))
-    programs = {
-        mapped: assemble(generate(vulnerability, layout, mapped=mapped))
-        for mapped in (True, False)
-    }
-    misses = {True: 0, False: 0}
-    for mapped in (True, False):
-        for _ in range(trials):
-            tlb = make_hierarchy(
-                spec, victim_asid=layout.victim_pid, rng=rng
-            )
-            cpu = CPU(tlb=tlb, translator=make_walker())
-            cpu.load(programs[mapped])
-            if cpu.run().status is ExecutionStatus.PASSED:
-                misses[mapped] += 1
-    return ChannelEstimate(
-        misses_mapped=misses[True],
-        misses_unmapped=misses[False],
-        trials_per_behaviour=trials,
+    return SecurityEvaluator().estimate_channel(
+        vulnerability, spec, rng, trials
     )
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.attacks.prime_probe import tlbleed_attack
-from repro.model.capacity import ChannelEstimate
 from repro.mmu import make_walker
 from repro.perf.timing import ScheduledProcess, simulate
 from repro.security.evaluate import EvaluationConfig, SecurityEvaluator
@@ -127,11 +126,14 @@ def rf_region_point(
     )
     # Security: the Prime + Probe estimate with this region size.
     evaluator = SecurityEvaluator(EvaluationConfig(trials=trials))
-    result = _evaluate_with_region(evaluator, prime_probe, pages)
+    rng = random.Random(pages * 7919 + 13)
+    estimate = evaluator.estimate_channel(
+        prime_probe, TLBKind.RF, rng, ssize=pages
+    )
     return RegionPoint(
         region_pages=pages,
         victim_mpki=results["RSA"].mpki,
-        prime_probe_capacity=result.capacity,
+        prime_probe_capacity=estimate.capacity,
     )
 
 
@@ -153,30 +155,6 @@ def sweep_rf_region(
         rf_region_point(pages, config, rsa_runs, trials, seed)
         for pages in region_sizes
     ]
-
-
-def _evaluate_with_region(
-    evaluator: SecurityEvaluator, vulnerability, pages: int
-) -> ChannelEstimate:
-    """Run one vulnerability's benchmark with an explicit region size."""
-    from repro.isa import assemble
-    from repro.security.benchgen import generate
-
-    layout = evaluator.config.layout_for(TLBKind.RF)
-    rng = random.Random(pages * 7919 + 13)
-    misses = {True: 0, False: 0}
-    for mapped in (True, False):
-        program = assemble(
-            generate(vulnerability, layout, mapped=mapped, ssize=pages)
-        )
-        for _ in range(evaluator.config.trials):
-            if evaluator.run_trial(program, TLBKind.RF, rng):
-                misses[mapped] += 1
-    return ChannelEstimate(
-        misses_mapped=misses[True],
-        misses_unmapped=misses[False],
-        trials_per_behaviour=evaluator.config.trials,
-    )
 
 
 @dataclass(frozen=True)

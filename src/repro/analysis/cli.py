@@ -256,7 +256,7 @@ def add_analyze_parser(subparsers) -> None:
 
 def _load_spec(target: str):
     """Resolve a certify target: sweep design label, JSON file, or '-'."""
-    from repro.analysis.certify import coerce_spec
+    from repro.tlb.spec import coerce_spec
 
     if target == "-":
         return coerce_spec(json.load(sys.stdin))

@@ -8,8 +8,7 @@ over Python ASTs:
     TLB designs are built only inside ``repro.tlb`` and the registered
     factories of ``repro.security.kinds``; every drive loop goes through
     ``make_tlb`` (flat designs) or ``make_hierarchy`` (the one sanctioned
-    multi-level constructor -- ``make_two_level_tlb`` is its thin
-    compatibility wrapper) so experiments stay comparable and observable
+    multi-level constructor) so experiments stay comparable and observable
     through the :class:`repro.sim.MemorySystem` facade.
 
 ``facade-walker-construction``
@@ -84,7 +83,6 @@ TLB_CLASSES = frozenset(
         "StaticPartitionTLB",
         "RandomFillTLB",
         "DynamicPartitionTLB",
-        "TwoLevelTLB",
         "TLBHierarchy",
     }
 )
@@ -445,9 +443,9 @@ class CertifiableHierarchy(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(node)
-            if name in ("TLBHierarchy", "make_hierarchy",
-                        "make_two_level_tlb") and _literal_levels_argument(
-                            node):
+            if name in ("TLBHierarchy", "make_hierarchy") and (
+                _literal_levels_argument(node)
+            ):
                 yield self.finding(
                     node,
                     relpath,

@@ -409,6 +409,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         format_report,
         with_history,
     )
+    from repro.persist import atomic_write
 
     try:
         report = bench(
@@ -429,9 +430,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError):
             previous = None
         report = with_history(report, previous)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        atomic_write(
+            args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
+        )
         print(f"wrote {args.out}", file=sys.stderr)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -36,7 +36,6 @@ from .plan import (
     EXECUTOR_FAULT_KINDS,
     RUNNER_FAULT_KINDS,
     FaultPlan,
-    FaultSpec,
     default_executor_plan,
     default_runner_plan,
     default_sim_plan,

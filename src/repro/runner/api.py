@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.faults.chaos import ChaosConfig, ExecutorChaosConfig
+from repro.persist import atomic_write
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .experiments import DEFAULT_OPTIONS
@@ -309,9 +310,8 @@ def run_all(
             ],
             "missing": missing,
         }
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        atomic_write(
+            manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
         log.emit("manifest", path=str(manifest_path))
     elif manifest_path.exists():

@@ -17,6 +17,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.persist import atomic_write
+
 from .progress import RunLog
 
 #: artifact filename -> experiments it needs, in the order used below.
@@ -210,34 +212,34 @@ def write_artifacts(
         log.emit("artifact", path=str(path))
 
     emit("table2.txt",
-         lambda p: p.write_text(_table2_text(assembled["table2"])))
+         lambda p: atomic_write(p, _table2_text(assembled["table2"])))
     emit("table4_full.txt",
-         lambda p: p.write_text(format_table4(assembled["table4"])))
+         lambda p: atomic_write(p, format_table4(assembled["table4"])))
     emit("table4_full.csv",
          lambda p: export_table4_csv(assembled["table4"], p))
     emit("table7_eval.txt",
-         lambda p: p.write_text(_table7_text(assembled["table7"])))
+         lambda p: atomic_write(p, _table7_text(assembled["table7"])))
     emit("fig7_full.txt",
-         lambda p: p.write_text(_fig7_text(assembled["fig7"]["grid"])))
+         lambda p: atomic_write(p, _fig7_text(assembled["fig7"]["grid"])))
     emit("fig7_full.csv",
          lambda p: export_figure7_csv(assembled["fig7"]["grid"], p))
     emit("fig7_runs_series.txt",
-         lambda p: p.write_text(_series_text(assembled["fig7"]["series"])))
-    emit("table5.txt", lambda p: p.write_text(assembled["table5"]))
+         lambda p: atomic_write(p, _series_text(assembled["fig7"]["series"])))
+    emit("table5.txt", lambda p: atomic_write(p, assembled["table5"]))
     emit("mitigations.txt",
-         lambda p: p.write_text(_mitigations_text(
+         lambda p: atomic_write(p, _mitigations_text(
              assembled["mitigations"],
              assembled["largepages"],
              assembled["hierarchy"],
          )))
     emit("hierarchy_sweep.txt",
-         lambda p: p.write_text(_hierarchy_sweep_text(
+         lambda p: atomic_write(p, _hierarchy_sweep_text(
              assembled["hierarchy_sweep"]
          )))
     emit("sweeps.txt",
-         lambda p: p.write_text(_sweeps_text(assembled["sweeps"])))
+         lambda p: atomic_write(p, _sweeps_text(assembled["sweeps"])))
     emit("attacks.txt",
-         lambda p: p.write_text(_attacks_text(assembled["attacks"])))
+         lambda p: atomic_write(p, _attacks_text(assembled["attacks"])))
 
     # Experiments without a dedicated writer (e.g. test probes and the
     # chaos campaign's cells) still get a deterministic JSON artifact, so
@@ -250,9 +252,10 @@ def write_artifacts(
             continue
         filename = f"{name}.json"
         path = results_dir / filename
-        path.write_text(
+        atomic_write(
+            path,
             json.dumps(assembled[name], indent=2, sort_keys=True, default=str)
-            + "\n"
+            + "\n",
         )
         written.append(filename)
         log.emit("artifact", path=str(path))

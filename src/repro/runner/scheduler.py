@@ -41,7 +41,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.faults.chaos import ChaosConfig
 
@@ -66,22 +66,11 @@ class ResultEnvelope:
 
     blob: bytes
     sha256: str
-    #: Static/dynamic cross-certification verdict carried by the payload
-    #: (``certified`` key of an assembled result), when it has one.  None
-    #: means the payload makes no certification claim.
-    certified: Optional[bool] = None
 
     @classmethod
     def seal(cls, value: Any) -> "ResultEnvelope":
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        certified = (
-            value.get("certified") if isinstance(value, Mapping) else None
-        )
-        return cls(
-            blob=blob,
-            sha256=hashlib.sha256(blob).hexdigest(),
-            certified=certified,
-        )
+        return cls(blob=blob, sha256=hashlib.sha256(blob).hexdigest())
 
     @property
     def intact(self) -> bool:

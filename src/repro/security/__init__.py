@@ -14,6 +14,7 @@ from .benchgen import (
     alias_page,
     generate,
     layout_for_partitioned_tlb,
+    layout_for_spec,
     region_size_for,
     secret_page,
 )
@@ -26,7 +27,7 @@ from .evaluate import (
     format_table4,
     table4_cells,
 )
-from .kinds import TLBKind, make_hierarchy, make_tlb, make_two_level_tlb
+from .kinds import TLBKind, make_hierarchy, make_tlb
 from .theory import TheoreticalModel
 
 __all__ = [
@@ -43,9 +44,9 @@ __all__ = [
     "generate",
     "table4_cells",
     "layout_for_partitioned_tlb",
+    "layout_for_spec",
     "make_hierarchy",
     "make_tlb",
-    "make_two_level_tlb",
     "region_size_for",
     "secret_page",
 ]

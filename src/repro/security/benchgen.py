@@ -28,11 +28,14 @@ of 3 or 31 contiguous pages):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.model.effectiveness import Relation, applicable_relations, step3_timings
 from repro.model.patterns import Observation, Vulnerability
 from repro.model.states import Actor, AddressClass, Operation, State
+
+if TYPE_CHECKING:
+    from repro.tlb.spec import HierarchySpec
 
 
 @dataclass(frozen=True)
@@ -400,3 +403,14 @@ def layout_for_partitioned_tlb(
         prime_ways_victim=victim_ways,
         prime_ways_attacker=layout.nways - victim_ways,
     )
+
+
+def layout_for_spec(spec: "HierarchySpec") -> BenchmarkLayout:
+    """The layout benchmarks use against a multi-level design.
+
+    Benchmarks target the *last* level's sets: its misses are the page
+    walks the ``tlb_miss_count`` counter exposes (an attack on the L1's
+    sets alone stops at the lower levels).
+    """
+    last = spec.levels[-1]
+    return BenchmarkLayout(nsets=last.sets, nways=last.ways)

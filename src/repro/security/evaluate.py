@@ -9,13 +9,20 @@ capacity C*, and compare against the theoretical values.
 Each trial runs on a fresh processor and TLB; the Random-Fill TLB's RNG is
 shared across a design's trials so randomization varies trial to trial, and
 is seeded so the whole table is reproducible.
+
+:meth:`SecurityEvaluator.estimate_channel` is the one implementation of
+that protocol and :meth:`SecurityEvaluator.run_trial` the one trial: every
+channel measurement in the repository -- Table 4, Table 7, the mitigation
+ladder, large pages, the hierarchy studies and the RF region sweep --
+goes through them, over a flat design or any :class:`HierarchySpec`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import zlib
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.isa import CPU, ExecutionStatus, Program, assemble
 from repro.model.capacity import ChannelEstimate
@@ -24,11 +31,20 @@ from repro.model.table2 import table2_vulnerabilities
 from repro.mmu import PageTableWalker, SwitchPolicy, make_walker
 from repro.sim.events import EventBus
 from repro.sim.system import MemorySystem
-from repro.tlb import TLBConfig
+from repro.tlb import HierarchySpec, TLBConfig
 
-from .benchgen import BenchmarkLayout, generate, layout_for_partitioned_tlb
-from .kinds import TLBKind, make_tlb
+from .benchgen import (
+    BenchmarkLayout,
+    generate,
+    layout_for_partitioned_tlb,
+    layout_for_spec,
+)
+from .kinds import TLBKind, make_hierarchy, make_tlb
 from .theory import TheoreticalModel
+
+#: What a security trial runs against: a flat design (built over the
+#: evaluation's :class:`TLBConfig`) or a multi-level hierarchy.
+Design = Union[TLBKind, HierarchySpec]
 
 
 @dataclass(frozen=True)
@@ -53,11 +69,11 @@ class EvaluationConfig:
             return self.victim_ways
         return max(self.tlb.ways // 2, 1)
 
-    def layout_for(self, kind: TLBKind) -> BenchmarkLayout:
+    def layout_for(self, design: Design) -> BenchmarkLayout:
+        if isinstance(design, HierarchySpec):
+            return layout_for_spec(design)
         layout = self.layout
         if layout.nsets != self.tlb.sets or layout.nways != self.tlb.ways:
-            from dataclasses import replace
-
             layout = replace(
                 layout,
                 nsets=self.tlb.sets,
@@ -65,7 +81,7 @@ class EvaluationConfig:
                 prime_ways_victim=self.tlb.ways,
                 prime_ways_attacker=self.tlb.ways,
             )
-        if kind is TLBKind.SP:
+        if design is TLBKind.SP:
             return layout_for_partitioned_tlb(
                 layout, self.resolved_victim_ways()
             )
@@ -108,27 +124,31 @@ class SecurityEvaluator:
             nsets=config.tlb.sets, nways=config.tlb.ways
         )
 
-    # -- single trials ------------------------------------------------------------
+    # -- the trial protocol ----------------------------------------------------
 
     def run_trial(
         self,
         program: Program,
-        kind: TLBKind,
+        design: Design,
         rng: random.Random,
         bus: Optional[EventBus] = None,
     ) -> bool:
         """Run one benchmark once on a fresh CPU; True iff Step 3 missed."""
-        tlb = make_tlb(
-            kind,
-            self.config.tlb,
-            victim_asid=self.config.layout.victim_pid,
-            victim_ways=(
-                self.config.resolved_victim_ways()
-                if kind is TLBKind.SP
-                else None
-            ),
-            rng=rng,
-        )
+        victim_asid = self.config.layout.victim_pid
+        if isinstance(design, HierarchySpec):
+            tlb = make_hierarchy(design, victim_asid=victim_asid, rng=rng)
+        else:
+            tlb = make_tlb(
+                design,
+                self.config.tlb,
+                victim_asid=victim_asid,
+                victim_ways=(
+                    self.config.resolved_victim_ways()
+                    if design is TLBKind.SP
+                    else None
+                ),
+                rng=rng,
+            )
         if self.config.walker_factory is not None:
             walker = self.config.walker_factory()
         else:
@@ -150,6 +170,40 @@ class SecurityEvaluator:
             raise RuntimeError("benchmark ended without a pass/fail verdict")
         return result.status is ExecutionStatus.PASSED
 
+    def estimate_channel(
+        self,
+        vulnerability: Vulnerability,
+        design: Design,
+        rng: random.Random,
+        trials: Optional[int] = None,
+        ssize: Optional[int] = None,
+    ) -> ChannelEstimate:
+        """Section 5.3's protocol: ``trials`` mapped then ``trials``
+        unmapped runs of the benchmark, each through :meth:`run_trial`.
+
+        ``rng`` feeds every RF level of every trial, in that order, so a
+        caller's seed fixes the whole estimate.  ``ssize`` overrides the
+        benchmark's secure-region size.
+        """
+        trials = trials if trials is not None else self.config.trials
+        layout = self.config.layout_for(design)
+        programs = {
+            mapped: assemble(
+                generate(vulnerability, layout, mapped=mapped, ssize=ssize)
+            )
+            for mapped in (True, False)
+        }
+        misses = {True: 0, False: 0}
+        for mapped in (True, False):
+            for _ in range(trials):
+                if self.run_trial(programs[mapped], design, rng):
+                    misses[mapped] += 1
+        return ChannelEstimate(
+            misses_mapped=misses[True],
+            misses_unmapped=misses[False],
+            trials_per_behaviour=trials,
+        )
+
     # -- per-vulnerability evaluation ------------------------------------------------
 
     def evaluate_vulnerability(
@@ -158,28 +212,11 @@ class SecurityEvaluator:
         kind: TLBKind,
         trials: Optional[int] = None,
     ) -> VulnerabilityResult:
-        trials = trials if trials is not None else self.config.trials
         # Derive a per-(design, vulnerability) seed that is stable across
         # interpreter runs (str.__hash__ is salted per process).
-        import zlib
-
         label = f"{self.config.seed}/{kind.value}/{vulnerability.pretty()}"
         rng = random.Random(zlib.crc32(label.encode()))
-        layout = self.config.layout_for(kind)
-        programs = {
-            mapped: assemble(generate(vulnerability, layout, mapped=mapped))
-            for mapped in (True, False)
-        }
-        misses = {True: 0, False: 0}
-        for mapped in (True, False):
-            for _ in range(trials):
-                if self.run_trial(programs[mapped], kind, rng):
-                    misses[mapped] += 1
-        estimate = ChannelEstimate(
-            misses_mapped=misses[True],
-            misses_unmapped=misses[False],
-            trials_per_behaviour=trials,
-        )
+        estimate = self.estimate_channel(vulnerability, kind, rng, trials)
         if vulnerability.pattern.uses_extended_states():
             p1 = p2 = capacity = None
         else:

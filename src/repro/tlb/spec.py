@@ -19,7 +19,7 @@ stay picklable and cache keys stay stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .config import ReplacementKind, TLBConfig
 
@@ -228,3 +228,14 @@ class HierarchySpec:
             ),
             pwc=pwc,
         )
+
+
+#: A spec or its plain-dict form (the shape runner cells carry).
+SpecLike = Union[HierarchySpec, Mapping[str, Any]]
+
+
+def coerce_spec(spec: SpecLike) -> HierarchySpec:
+    """Accept a spec or its :meth:`HierarchySpec.to_dict` form."""
+    if isinstance(spec, HierarchySpec):
+        return spec
+    return HierarchySpec.from_dict(spec)

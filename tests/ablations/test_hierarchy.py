@@ -74,7 +74,7 @@ class TestSweepEnumeration:
 
     def test_specs_survive_the_cell_param_round_trip(self):
         from repro.ablations import sweep_specs
-        from repro.ablations.hierarchy import coerce_spec
+        from repro.tlb.spec import coerce_spec
 
         for spec in sweep_specs():
             assert coerce_spec(spec.to_dict()) == spec

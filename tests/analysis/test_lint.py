@@ -24,7 +24,6 @@ class TestFacadeTLBConstruction:
             "StaticPartitionTLB",
             "RandomFillTLB",
             "DynamicPartitionTLB",
-            "TwoLevelTLB",
             "TLBHierarchy",
         ):
             assert rules_hit(f"x = {name}(config)\n"), name

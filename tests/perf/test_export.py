@@ -65,3 +65,26 @@ class TestTable4Export:
         with path.open() as handle:
             for row in csv.DictReader(handle):
                 assert row["capacity_theory"] == ""
+
+
+class TestWholeOrNothing:
+    def test_failed_render_keeps_the_previous_file(self, tmp_path):
+        evaluator = SecurityEvaluator(EvaluationConfig(trials=2))
+        results = evaluator.evaluate_kind(TLBKind.SA)[:2]
+        path = tmp_path / "table4.csv"
+        export_table4_csv({TLBKind.SA: results}, path)
+        previous = path.read_bytes()
+
+        class Unrenderable:
+            vulnerability = results[0].vulnerability
+
+            @property
+            def estimate(self):
+                raise RuntimeError("render failed mid-table")
+
+        with pytest.raises(RuntimeError, match="mid-table"):
+            export_table4_csv(
+                {TLBKind.SA: [results[1], results[0], Unrenderable()]}, path
+            )
+        assert path.read_bytes() == previous
+        assert [entry.name for entry in tmp_path.iterdir()] == ["table4.csv"]

@@ -23,12 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.mmu import SwitchPolicy, make_walker
 from repro.perf.harness import PerfSettings, Scenario, run_cell
 from repro.perf.timing import ScheduledProcess, simulate
-from repro.security.kinds import (
-    TLBKind,
-    make_hierarchy,
-    make_tlb,
-    make_two_level_tlb,
-)
+from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
 from repro.sim.kernel import (
     CompiledTrace,
     pack_result,
@@ -180,9 +175,11 @@ class TestSupportsFastpath:
             assert supports_fastpath(tlb)
 
     def test_two_level_supports_it(self):
-        tlb = make_two_level_tlb(
-            TLBKind.SA, TLBKind.SA,
-            TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
+        tlb = make_hierarchy(
+            HierarchySpec.two_level(
+                "SA", "SA",
+                TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
+            )
         )
         assert supports_fastpath(tlb)
 
@@ -247,9 +244,12 @@ class TestPerAccessEquivalence:
 
     def test_two_level_equivalence(self):
         def build():
-            return make_two_level_tlb(
-                TLBKind.SA, TLBKind.SA,
-                TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
+            return make_hierarchy(
+                HierarchySpec.two_level(
+                    "SA", "SA",
+                    TLBConfig(entries=16, ways=4),
+                    TLBConfig(entries=64, ways=8),
+                )
             )
 
         reference, fast = build(), build()
@@ -492,9 +492,12 @@ class TestHierarchyRunEquivalence:
 
     def test_rf_sa_two_level(self, povray_trace):
         def build():
-            return make_two_level_tlb(
-                TLBKind.RF, TLBKind.SA,
-                TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
+            return make_hierarchy(
+                HierarchySpec.two_level(
+                    "RF", "SA",
+                    TLBConfig(entries=16, ways=4),
+                    TLBConfig(entries=64, ways=8),
+                ),
                 rng=random.Random(7),
             )
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.security.kinds import make_hierarchy
 from repro.tlb import (
     HierarchySpec,
     IdentityTranslator,
@@ -13,20 +14,22 @@ from repro.tlb import (
     RandomFillTLB,
     SetAssociativeTLB,
     TLBConfig,
-    TwoLevelTLB,
+    TLBHierarchy,
 )
 
 L1 = TLBConfig(entries=8, ways=2, hit_latency=1)
 L2 = TLBConfig(entries=32, ways=4, hit_latency=8)
 
 
-def make_hierarchy():
-    return TwoLevelTLB(SetAssociativeTLB(L1), SetAssociativeTLB(L2))
+def two_level(l1_kind="SA", l2_kind="SA", rng=None):
+    return make_hierarchy(
+        HierarchySpec.two_level(l1_kind, l2_kind, L1, L2), rng=rng
+    )
 
 
 class TestAccessPath:
     def test_three_latency_classes(self):
-        tlb = make_hierarchy()
+        tlb = two_level()
         translator = IdentityTranslator(cycles=30)
         cold = tlb.translate(5, 1, translator)  # L1 miss, L2 miss, walk
         assert cold.miss and cold.cycles == 1 + 8 + 30
@@ -40,21 +43,21 @@ class TestAccessPath:
         assert tlb.l2.stats.misses == 3  # only the cold walks
 
     def test_walk_counter_counts_l2_misses(self):
-        tlb = make_hierarchy()
+        tlb = two_level()
         translator = IdentityTranslator()
         tlb.translate(5, 1, translator)
         tlb.translate(5, 1, translator)
         assert tlb.stats.misses == 1  # the hierarchy's walk counter
 
     def test_inclusive_fill_on_walk(self):
-        tlb = make_hierarchy()
+        tlb = two_level()
         translator = IdentityTranslator()
         tlb.translate(5, 1, translator)
         assert tlb.l1.resident(5, 1)
         assert tlb.l2.resident(5, 1)
 
     def test_asid_isolation_preserved(self):
-        tlb = make_hierarchy()
+        tlb = two_level()
         translator = IdentityTranslator()
         tlb.translate(5, 1, translator)
         result = tlb.translate(5, 2, translator)
@@ -63,7 +66,7 @@ class TestAccessPath:
 
 class TestMaintenance:
     def test_flush_all_clears_both_levels(self):
-        tlb = make_hierarchy()
+        tlb = two_level()
         translator = IdentityTranslator()
         tlb.translate(5, 1, translator)
         tlb.flush_all()
@@ -71,7 +74,7 @@ class TestMaintenance:
         assert tlb.l1.occupancy() == 0 and tlb.l2.occupancy() == 0
 
     def test_flush_asid(self):
-        tlb = make_hierarchy()
+        tlb = two_level()
         translator = IdentityTranslator()
         tlb.translate(5, 1, translator)
         tlb.translate(6, 2, translator)
@@ -80,7 +83,7 @@ class TestMaintenance:
         assert tlb.resident(6, 2)
 
     def test_invalidate_page_covers_both_levels(self):
-        tlb = make_hierarchy()
+        tlb = two_level()
         translator = IdentityTranslator()
         tlb.translate(5, 1, translator)
         result = tlb.invalidate_page(5, 1)
@@ -92,38 +95,29 @@ class TestMaintenance:
     def test_distinct_levels_required(self):
         l1 = SetAssociativeTLB(L1)
         with pytest.raises(ValueError):
-            TwoLevelTLB(l1, l1)
+            TLBHierarchy((l1, l1))
 
 
 class TestSecureLevels:
     def test_rf_l1_no_fill_still_caches_in_l2(self):
         # The leak mechanism of the hierarchy ablation: the RF L1 refuses
         # to cache the secret, but the L2 on its walk path does.
-        l1 = RandomFillTLB(
-            L1, victim_asid=1, sbase=0x100, ssize=3, rng=random.Random(1)
-        )
-        tlb = TwoLevelTLB(l1, SetAssociativeTLB(L2))
+        tlb = two_level("RF", "SA", rng=random.Random(1))
+        tlb.set_secure_region(0x100, 3, victim_asid=1)
         translator = IdentityTranslator()
         result = tlb.translate(0x100, 1, translator)
         assert result.miss and not result.filled  # the L1 no-fill path ran
         assert tlb.l2.resident(0x100, 1)  # ... but the L2 cached the secret
 
     def test_secure_region_forwarded_to_rf_levels(self):
-        l1 = RandomFillTLB(L1, victim_asid=1, rng=random.Random(1))
-        l2 = RandomFillTLB(L2, victim_asid=1, rng=random.Random(2))
-        tlb = TwoLevelTLB(l1, l2)
+        tlb = two_level("RF", "RF", rng=random.Random(1))
         tlb.set_secure_region(0x100, 3, victim_asid=1)
-        assert l1.is_secure(0x101, 1)
-        assert l2.is_secure(0x101, 1)
+        assert tlb.l1.is_secure(0x101, 1)
+        assert tlb.l2.is_secure(0x101, 1)
 
     def test_rf_l2_does_not_cache_the_secret(self):
-        l1 = RandomFillTLB(
-            L1, victim_asid=1, sbase=0x100, ssize=3, rng=random.Random(1)
-        )
-        l2 = RandomFillTLB(
-            L2, victim_asid=1, sbase=0x100, ssize=3, rng=random.Random(2)
-        )
-        tlb = TwoLevelTLB(l1, l2)
+        tlb = two_level("RF", "RF", rng=random.Random(1))
+        tlb.set_secure_region(0x100, 3, victim_asid=1)
         translator = IdentityTranslator()
         cached_secret = 0
         for _ in range(20):
@@ -139,7 +133,6 @@ class TestFactory:
     """``make_hierarchy``: the spec-driven constructor."""
 
     def test_builds_matching_kinds_and_geometry(self):
-        from repro.security.kinds import make_hierarchy
         from repro.tlb import StaticPartitionTLB
 
         spec = HierarchySpec.two_level("SP", "RF", L1, L2)
@@ -151,8 +144,6 @@ class TestFactory:
         assert tlb.name == "SP+RF"
 
     def test_victim_ways_override_reaches_the_live_level(self):
-        from repro.security.kinds import make_hierarchy
-
         spec = HierarchySpec(
             levels=(
                 LevelSpec.from_config("SP", L2, victim_ways=1),
@@ -163,15 +154,11 @@ class TestFactory:
         assert tlb.levels[0].victim_ways == 1
 
     def test_sp_defaults_to_even_split(self):
-        from repro.security.kinds import make_hierarchy
-
         spec = HierarchySpec.two_level("SP", "SA", L2, L2)
         tlb = make_hierarchy(spec, victim_asid=1)
         assert tlb.levels[0].victim_ways == L2.ways // 2
 
     def test_sec_bit_disabled_level_skips_secure_region(self):
-        from repro.security.kinds import make_hierarchy
-
         spec = HierarchySpec(
             levels=(
                 LevelSpec.from_config("RF", L1),
@@ -190,8 +177,6 @@ class TestNLevel:
     L3 = TLBConfig(entries=64, ways=8, hit_latency=20)
 
     def make_three_level(self):
-        from repro.security.kinds import make_hierarchy
-
         spec = HierarchySpec(
             levels=(
                 LevelSpec.from_config("SA", L1),
@@ -276,8 +261,6 @@ class TestPageWalkCache:
         assert pwc.occupancy() == 0
 
     def test_hierarchy_serves_repeat_walks_from_the_pwc(self):
-        from repro.security.kinds import make_hierarchy
-
         # A 1-entry L1 with no L2: the second access to 5 evicts nothing
         # from the PWC, so its walk is served at PWC latency.
         spec = HierarchySpec(
@@ -295,8 +278,6 @@ class TestPageWalkCache:
         assert tlb.pwc.stats.hits == 1
 
     def test_hierarchy_flushes_reach_the_pwc(self):
-        from repro.security.kinds import make_hierarchy
-
         spec = HierarchySpec(
             levels=(LevelSpec.from_config("SA", L1),),
             pwc=PWCSpec(),
